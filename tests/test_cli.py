@@ -1,5 +1,6 @@
 """Command-line interface: output, exit codes, reproducibility."""
 
+import hashlib
 import json
 import re
 
@@ -146,3 +147,33 @@ def test_unknown_kind_is_usage_error(capsys):
     code, _, err = run(capsys, "compute", "family", "--m", "4", "--x", "1,2",
                        "--kind", "Q")
     assert code == 2 and "kind" in err
+
+
+# sha256 and byte length of stdout, pinned so that a change to term order
+# or coefficient rendering shows up across versions, not just across runs
+GOLDEN = [
+    ("compute family --kind G --m 4 --x 2,4 --symbolic",
+     "809878080d54127c8621bcbcee70db0b5ce5aa0f6a6bcbd79c3c9dc052605367", 2192),
+    ("compute family --kind Hbar --m 5 --xbar 2,4 --symbolic --format json",
+     "0aea399d8cfd331a66f59c510e0bbfb63351857d260d02742dc1a527949ba0d6",
+     11890),
+    ("compute dwbp-det --kind hom --n 3 --symbolic",
+     "5441d0b83b057d3561cc7f9cd4bbae8475259eab595242035a664a87b1d8307e", 5050),
+    ("compute dwbp-det --kind dual-inhom --n 2 --symbolic",
+     "423970bc9e076adaefac3fc9de0e214d568798515111d31fcdc35717c21700c1", 541),
+    ("compute skew --m 5 --x 1,3,5 --xbar 2,4 --symbolic",
+     "513377aac1c653568a92a581425f94bf95ed3e4d1144f50f45224080de78de73", 117),
+    ("compute grothendieck --x 3,1 --symbolic",
+     "2c306df0a7ccd3f995a88098f879dbca82178dbfb7749230e908060bd8d7052d", 64),
+    ("compute wavefunction --m 5 --x 1,3,5 --seed 7 --format json",
+     "fde08cde8ffce317c58faf7b7d0071260002b05ceb650384a39330bfa9fe49c0", 658),
+]
+
+
+@pytest.mark.parametrize("argv, sha256, size", GOLDEN,
+                         ids=[g[0] for g in GOLDEN])
+def test_golden_output(capsys, argv, sha256, size):
+    code, out, err = run(capsys, *argv.split())
+    data = out.encode()
+    assert code == 0 and err == ""
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == (sha256, size)
