@@ -1,18 +1,29 @@
 """Exact arithmetic: sparse multivariate polynomials and rational functions.
 
-A polynomial is a dict mapping exponent tuples (one non-negative int per
-variable) to nonzero big-rational coefficients.  The zero polynomial is the
-empty dict, so two polynomials are equal iff their term dicts are equal.
-Coefficients are arbitrary-precision rationals (gmpy2.mpq when available,
-fractions.Fraction otherwise); no floating point is used anywhere.
+A polynomial is a list of terms in descending graded-lex order.  Each
+monomial is one int that packs the exponent vector: one fixed-width field
+per variable of the table, first variable highest, below a top field that
+holds the total degree.  Comparing two packed ints compares the monomials in
+graded-lex order, and multiplying two monomials adds their ints.  The top
+bit of every field is a guard bit that no stored monomial sets, so a field
+never carries into its neighbour when two monomials are added, and
+`(a - b) & guard == 0` holds exactly when b divides a.  Fields start at a
+width sized from the table (see `VarTable._layout`); an exponent that does
+not fit below the guard bit makes the polynomial repack to fields twice as
+wide, never wrap.
 
-Monomials are ordered by graded lexicographic order over the variable table,
-which fixes the notion of "leading term" used for normalization and for
-division.  Rational functions are stored as a num/den pair; normalization
-scales the denominator's leading coefficient to +1 and cancels cheap common
-factors (monomial content, and exact polynomial division when it succeeds).
-Full gcd reduction is deliberately not attempted; the normative equality test
-is cross-multiplication.
+Coefficients are arbitrary-precision rationals (gmpy2.mpq when available,
+fractions.Fraction otherwise); no floating point is used anywhere.  No
+stored coefficient is zero, so the zero polynomial has no terms and two
+polynomials are equal iff their term lists are equal.
+
+Products and quotients are computed with a heap of pending term products,
+which yields the result's terms in descending order (Johnson 1974; Monagan
+and Pearce, CASC 2007).  Rational functions are stored as a num/den pair;
+normalization scales the denominator's leading coefficient to +1 and
+cancels cheap common factors (monomial content, and exact polynomial
+division when it succeeds).  Full gcd reduction is deliberately not
+attempted; the normative equality test is cross-multiplication.
 """
 
 from __future__ import annotations
@@ -20,7 +31,11 @@ from __future__ import annotations
 import json
 import numbers
 import random
+from collections.abc import Mapping
+from functools import reduce
+from heapq import heappop, heappush, heapreplace
 from itertools import combinations
+from operator import or_
 
 try:
     from gmpy2 import mpq as QQ
@@ -57,6 +72,30 @@ def _is_rational(x):
     return isinstance(x, (int, numbers.Rational))
 
 
+class _Layout:
+    """How exponent vectors over one table pack into ints at one width."""
+
+    __slots__ = ("width", "shifts", "mask", "limit", "guard", "deg_shift")
+
+    def __init__(self, nvars, width):
+        self.width = width
+        self.shifts = tuple(width * i for i in reversed(range(nvars)))
+        self.mask = (1 << width) - 1
+        self.limit = 1 << (width - 1)      # exponents stay below the guard
+        self.guard = sum(self.limit << s for s in self.shifts)
+        self.deg_shift = width * nvars
+
+    def pack(self, exps):
+        packed = sum(exps) << self.deg_shift
+        for k, s in zip(exps, self.shifts):
+            packed |= k << s
+        return packed
+
+    def unpack(self, mono):
+        mask = self.mask
+        return tuple((mono >> s) & mask for s in self.shifts)
+
+
 class VarTable:
     """Ordered, immutable table of variable names.
 
@@ -64,7 +103,7 @@ class VarTable:
     polynomials over the same table are directly comparable.
     """
 
-    __slots__ = ("names", "_index")
+    __slots__ = ("names", "_index", "_layouts")
 
     def __init__(self, names):
         names = tuple(names)
@@ -72,6 +111,7 @@ class VarTable:
             raise RingError(f"duplicate variable names in {names}")
         self.names = names
         self._index = {n: i for i, n in enumerate(names)}
+        self._layouts = {}
 
     def __len__(self):
         return len(self.names)
@@ -85,6 +125,21 @@ class VarTable:
     def __repr__(self):
         return f"VarTable({list(self.names)})"
 
+    def _layout(self, top=0):
+        """The narrowest layout whose fields hold exponents up to `top`.
+
+        Fields start wide enough for the packed monomial, degree field
+        included, to fit 64 bits (but at least 8 bits), and double as
+        needed.
+        """
+        width = max(8, 64 // (len(self.names) + 1))
+        while top >> (width - 1):
+            width *= 2
+        lay = self._layouts.get(width)
+        if lay is None:
+            lay = self._layouts[width] = _Layout(len(self.names), width)
+        return lay
+
     def index(self, name):
         try:
             return self._index[name]
@@ -93,19 +148,20 @@ class VarTable:
 
     def var(self, name):
         """The polynomial consisting of the single variable `name`."""
-        exps = [0] * len(self.names)
-        exps[self.index(name)] = 1
-        return MultiPoly(self, {tuple(exps): QQ(1)})
+        lay = self._layout()
+        i = self.index(name)
+        return _poly(self, lay, [(1 << lay.deg_shift) | (1 << lay.shifts[i])],
+                     [QQ(1)])
 
     def const(self, value):
         """The constant polynomial `value`."""
         value = QQ(value)
         if value == 0:
-            return MultiPoly(self, {})
-        return MultiPoly(self, {(0,) * len(self.names): value})
+            return self.zero()
+        return _poly(self, self._layout(), [0], [value])
 
     def zero(self):
-        return MultiPoly(self, {})
+        return _poly(self, self._layout(), [], [])
 
     def one(self):
         return self.const(1)
@@ -123,22 +179,89 @@ def canonical_vartable(n_u=0, n_w=0, free_params=("t", "a", "b", "c", "d"),
     return VarTable(names)
 
 
-def _grlex_key(exps):
-    return (sum(exps), exps)
+def _poly(vt, lay, exps, coeffs):
+    """A MultiPoly from descending packed monomials and nonzero coeffs."""
+    p = object.__new__(MultiPoly)
+    p.vars = vt
+    p._lay = lay
+    p._e = exps
+    p._c = coeffs
+    return p
+
+
+def _repacked(p, lay):
+    """p with its monomials repacked into the layout `lay`."""
+    if p._lay.width == lay.width:
+        return p
+    unpack, pack = p._lay.unpack, lay.pack
+    return _poly(p.vars, lay, [pack(unpack(e)) for e in p._e], p._c)
+
+
+def _same_layout(a, b):
+    """a and b repacked, if need be, to the wider of their layouts."""
+    if a._lay is b._lay:
+        return a, b
+    if a._lay.width < b._lay.width:
+        return _repacked(a, b._lay), b
+    return a, _repacked(b, a._lay)
+
+
+class _Terms(Mapping):
+    """Read-only view of a polynomial as {exponent tuple: coefficient}."""
+
+    __slots__ = ("_p", "_index")
+
+    def __init__(self, p):
+        self._p = p
+        self._index = None
+
+    def __len__(self):
+        return len(self._p._e)
+
+    def __iter__(self):
+        return map(self._p._lay.unpack, self._p._e)
+
+    def __getitem__(self, exps):
+        if self._index is None:
+            self._index = dict(zip(self._p._e, range(len(self._p._e))))
+        lay = self._p._lay
+        if len(exps) != len(lay.shifts) or max(exps, default=0) >= lay.limit:
+            raise KeyError(exps)
+        i = self._index.get(lay.pack(exps))
+        if i is None:
+            raise KeyError(exps)
+        return self._p._c[i]
 
 
 class MultiPoly:
     """Sparse multivariate polynomial with big-rational coefficients.
 
     Treated as immutable: all operations return new objects.  No stored
-    coefficient is zero, so dict equality is canonical equality.
+    coefficient is zero, so comparing term lists is canonical equality.
+    `terms` views the polynomial as {exponent tuple: coefficient}.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "_lay", "_e", "_c")
 
     def __init__(self, vartable, terms):
+        items = []
+        for exps, c in terms.items():
+            if len(exps) != len(vartable) or any(
+                    not isinstance(k, int) or k < 0 for k in exps):
+                raise RingError(f"bad exponent vector {exps!r}")
+            if c != 0:
+                items.append((exps, QQ(c)))
+        lay = vartable._layout(max((max(e, default=0) for e, _ in items),
+                                   default=0))
+        packed = sorted(((lay.pack(e), c) for e, c in items), reverse=True)
         self.vars = vartable
-        self.terms = {e: c for e, c in terms.items() if c != 0}
+        self._lay = lay
+        self._e = [e for e, _ in packed]
+        self._c = [c for _, c in packed]
+
+    @property
+    def terms(self):
+        return _Terms(self)
 
     # -- construction helpers -------------------------------------------
 
@@ -154,36 +277,35 @@ class MultiPoly:
     # -- queries --------------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self._e
 
     def is_constant(self):
-        return all(sum(e) == 0 for e in self.terms)
+        return not self._e or self._e[0] == 0
 
     def constant_value(self):
         if self.is_zero():
             return QQ(0)
         if not self.is_constant():
             raise RingError("not a constant polynomial")
-        return next(iter(self.terms.values()))
+        return self._c[0]
 
     def total_degree(self):
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self._e:
             return -1
-        return max(sum(e) for e in self.terms)
+        return self._e[0] >> self._lay.deg_shift
 
     def degree_in(self, name):
-        if not self.terms:
+        if not self._e:
             return -1
-        i = self.vars.index(name)
-        return max(e[i] for e in self.terms)
+        s, mask = self._lay.shifts[self.vars.index(name)], self._lay.mask
+        return max((e >> s) & mask for e in self._e)
 
     def leading(self):
         """(exponents, coefficient) of the graded-lex leading term."""
-        if not self.terms:
+        if not self._e:
             raise RingError("zero polynomial has no leading term")
-        e = max(self.terms, key=_grlex_key)
-        return e, self.terms[e]
+        return self._lay.unpack(self._e[0]), self._c[0]
 
     # -- arithmetic -----------------------------------------------------
 
@@ -191,19 +313,19 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return MultiPoly(self.vars, out)
+        a, b = _same_layout(self, other)
+        acc = dict(zip(a._e, a._c))
+        get = acc.get
+        for e, c in zip(b._e, b._c):
+            acc[e] = get(e, 0) + c
+        # two descending runs: the sort merges them in linear time
+        exps = sorted((e for e, c in acc.items() if c), reverse=True)
+        return _poly(a.vars, a._lay, exps, [acc[e] for e in exps])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return _poly(self.vars, self._lay, self._e, [-c for c in self._c])
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -218,19 +340,20 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
+        a, b = _same_layout(self, other)
+        if not a._e or not b._e:
+            return a.vars.zero()
+        if len(a._e) > len(b._e):
             a, b = b, a
-        out = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e, 0) + ca * cb
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return MultiPoly(self.vars, out)
+        exps, coeffs = _heap_product(a._e, a._c, b._e, b._c)
+        lay = a._lay
+        if reduce(or_, exps) & lay.guard:
+            # a field reached its guard bit: the sums are exact (nothing
+            # carried), but the result needs wider fields
+            wide = a.vars._layout(lay.limit)
+            exps = [wide.pack(lay.unpack(e)) for e in exps]
+            lay = wide
+        return _poly(a.vars, lay, exps, coeffs)
 
     __rmul__ = __mul__
 
@@ -251,32 +374,42 @@ class MultiPoly:
             if other == 0:
                 raise ZeroDivisionError("division by zero")
             inv = QQ(1) / QQ(other)
-            return MultiPoly(self.vars, {e: c * inv for e, c in self.terms.items()})
+            return _poly(self.vars, self._lay, self._e,
+                         [c * inv for c in self._c])
         if isinstance(other, MultiPoly):
             return RatFunc(self, other)
         return NotImplemented
 
     def __eq__(self, other):
         if isinstance(other, MultiPoly):
-            return self.vars == other.vars and self.terms == other.terms
+            if self.vars != other.vars:
+                return False
+            a, b = _same_layout(self, other)
+            return a._e == b._e and a._c == b._c
         if _is_rational(other):
-            return self == self.vars.const(other)
+            if other == 0:
+                return not self._e
+            return self._e == [0] and self._c[0] == other
         if isinstance(other, RatFunc):
             return other == self
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        # total degrees do not depend on the field width
+        ds = self._lay.deg_shift
+        return hash((self.vars, tuple(e >> ds for e in self._e),
+                     tuple(self._c)))
 
     # -- evaluation / substitution --------------------------------------
 
     def evaluate(self, point):
         """Evaluate at a map name -> rational; every variable must be bound."""
         vals = [QQ(point[n]) for n in self.vars.names]
+        unpack = self._lay.unpack
         total = QQ(0)
-        for e, c in self.terms.items():
+        for e, c in zip(self._e, self._c):
             term = c
-            for v, k in zip(vals, e):
+            for v, k in zip(vals, unpack(e)):
                 if k:
                     term = term * v ** k
             total += term
@@ -299,32 +432,33 @@ class MultiPoly:
             if val.num.vars != self.vars:
                 raise RingError("variable-table mismatch in substitution")
             vals[i] = val
+        lay = self._lay
         one = RatFunc(self.vars.one(), self.vars.one())
         total = RatFunc(self.vars.zero(), self.vars.one())
-        for e, c in self.terms.items():
-            residual = [0] * len(e)
+        for e, c in zip(self._e, self._c):
+            residual = [0] * len(lay.shifts)
             term = one
-            for i, k in enumerate(e):
+            for i, k in enumerate(lay.unpack(e)):
                 if not k:
                     continue
                 if i in vals:
                     term = term * vals[i] ** k
                 else:
                     residual[i] = k
-            mono = MultiPoly(self.vars, {tuple(residual): c})
+            mono = _poly(self.vars, lay, [lay.pack(residual)], [c])
             total = total + term * RatFunc(mono, self.vars.one())
         return total
 
     # -- rendering ------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
+        if not self._e:
             return "0"
         parts = []
-        for e in sorted(self.terms, key=_grlex_key, reverse=True):
-            c = self.terms[e]
+        unpack = self._lay.unpack
+        for e, c in zip(self._e, self._c):
             factors = []
-            for name, k in zip(self.vars.names, e):
+            for name, k in zip(self.vars.names, unpack(e)):
                 if k == 1:
                     factors.append(name)
                 elif k > 1:
@@ -347,6 +481,85 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
+def _heap_product(ae, ac, be, bc):
+    """Terms of a*b for nonzero term lists, `a` the shorter one.
+
+    Johnson's method: the heap holds, for each term a_i reached so far, the
+    next pending product a_i*b_j, so terms come out in descending order and
+    like terms are summed as they meet.
+    """
+    if len(ae) == 1:
+        e0, c0 = ae[0], ac[0]
+        return [e0 + e for e in be], [c0 * c for c in bc]
+    na, nb = len(ae), len(be)
+    b0 = be[0]
+    heap = [(-ae[0] - b0, 0, 0)]
+    exps, coeffs = [], []
+    while heap:
+        key = heap[0][0]
+        acc = 0
+        while heap and heap[0][0] == key:
+            _, i, j = heap[0]
+            acc += ac[i] * bc[j]
+            if j == 0 and i + 1 < na:
+                heappush(heap, (-ae[i + 1] - b0, i + 1, 0))
+            j += 1
+            if j < nb:
+                heapreplace(heap, (-ae[i] - be[j], i, j))
+            else:
+                heappop(heap)
+        if acc:
+            exps.append(-key)
+            coeffs.append(acc)
+    return exps, coeffs
+
+
+def _heap_quotient(ae, ac, be, bc, guard):
+    """Terms of a/b if b divides a exactly, else None; b not constant.
+
+    Monagan-Pearce division: the heap holds the pending products q_i*b_j
+    (j >= 1) of the quotient found so far, so the remainder's leading term
+    is the larger of the next term of a and the heap top, found without
+    scanning the remainder.  The first leading term that b's leading term
+    does not divide ends the division, as does a quotient term below the
+    lowest one an exact quotient can have (lowest of a over lowest of b).
+    """
+    b0e, b0c = be[0], bc[0]
+    q_low = ae[-1] - be[-1]
+    if q_low & guard:
+        return None
+    nb, na = len(be), len(ae)
+    qe, qc = [], []
+    heap = []
+    ia = 0
+    while ia < na or heap:
+        if heap and (ia == na or -heap[0][0] > ae[ia]):
+            key = heap[0][0]
+            acc = 0
+        else:
+            key = -ae[ia]
+            acc = ac[ia]
+            ia += 1
+        while heap and heap[0][0] == key:
+            _, i, j = heap[0]
+            acc -= qc[i] * bc[j]
+            j += 1
+            if j < nb:
+                heapreplace(heap, (-qe[i] - be[j], i, j))
+            else:
+                heappop(heap)
+        if not acc:
+            continue
+        q = -key - b0e
+        if q & guard or q < q_low:
+            return None
+        if nb > 1:
+            heappush(heap, (-q - be[1], len(qe), 1))
+        qe.append(q)
+        qc.append(acc / b0c)
+    return qe, qc
+
+
 def try_exact_divide(num, den):
     """Quotient num/den if den divides num exactly, else None.
 
@@ -361,24 +574,11 @@ def try_exact_divide(num, den):
         return num.vars.zero()
     if den.is_constant():
         return num / den.constant_value()
-    de, dc = den.leading()
-    quotient = {}
-    rem = dict(num.terms)
-    while rem:
-        re = max(rem, key=_grlex_key)
-        qe = tuple(a - b for a, b in zip(re, de))
-        if any(k < 0 for k in qe):
-            return None
-        qc = rem[re] / dc
-        quotient[qe] = quotient.get(qe, 0) + qc
-        for e, c in den.terms.items():
-            te = tuple(a + b for a, b in zip(qe, e))
-            s = rem.get(te, 0) - qc * c
-            if s == 0:
-                rem.pop(te, None)
-            else:
-                rem[te] = s
-    return MultiPoly(num.vars, quotient)
+    num, den = _same_layout(num, den)
+    terms = _heap_quotient(num._e, num._c, den._e, den._c, num._lay.guard)
+    if terms is None:
+        return None
+    return _poly(num.vars, num._lay, *terms)
 
 
 def exact_divide(num, den):
@@ -420,7 +620,7 @@ class RatFunc:
                 q = try_exact_divide(den, num)
                 if q is not None and not num.is_constant():
                     num, den = num.vars.one(), q
-        lc = den.leading()[1]
+        lc = den._c[0]
         if lc != 1:
             num = num / lc
             den = den / lc
@@ -437,7 +637,7 @@ class RatFunc:
         return self.num.is_zero()
 
     def is_poly(self):
-        return self.den == self.vars.one()
+        return self.den.is_constant()
 
     def as_poly(self):
         """The underlying polynomial; raises if a denominator survives."""
@@ -548,7 +748,7 @@ class RatFunc:
         return self.num.substitute(bindings) / den
 
     def __str__(self):
-        if self.den == self.vars.one():
+        if self.is_poly():
             return str(self.num)
         return f"({self.num}) / ({self.den})"
 
@@ -560,17 +760,29 @@ def _cancel_monomial_content(num, den):
     """Cancel the largest common monomial factor of num and den."""
     if num.is_zero() or den.is_zero():
         return num, den
-    nvars = len(num.vars)
-    g = [min(min(e[i] for e in num.terms), min(e[i] for e in den.terms))
-         for i in range(nvars)]
-    if not any(g):
+    num, den = _same_layout(num, den)
+    if not num._e[-1] or not den._e[-1]:
+        return num, den                 # a constant term: nothing in common
+    lay = num._lay
+    mask = lay.mask
+    common = 0
+    for s in lay.shifts:
+        low = mask
+        for p in (num, den):
+            for e in p._e:
+                k = (e >> s) & mask
+                if k < low:
+                    low = k
+                    if not k:
+                        break
+            if not low:
+                break
+        if low:
+            common += (low << lay.deg_shift) | (low << s)
+    if not common:
         return num, den
-
-    def shift(p):
-        return MultiPoly(p.vars, {tuple(a - b for a, b in zip(e, g)): c
-                                  for e, c in p.terms.items()})
-
-    return shift(num), shift(den)
+    return (_poly(num.vars, lay, [e - common for e in num._e], num._c),
+            _poly(den.vars, lay, [e - common for e in den._e], den._c))
 
 
 def _cross_cancel(num, den):
@@ -697,8 +909,9 @@ def _coeff_str(c):
 
 
 def poly_to_json(p):
-    terms = [{"coeff": _coeff_str(p.terms[e]), "exps": list(e)}
-             for e in sorted(p.terms, key=_grlex_key, reverse=True)]
+    unpack = p._lay.unpack
+    terms = [{"coeff": _coeff_str(c), "exps": list(unpack(e))}
+             for e, c in zip(p._e, p._c)]
     return {"vars": list(p.vars.names), "terms": terms}
 
 
