@@ -1,25 +1,38 @@
 """Exact arithmetic: sparse multivariate polynomials and rational functions.
 
-A polynomial is a list of terms in descending graded-lex order.  Each
-monomial is one int that packs the exponent vector: one fixed-width field
-per variable of the table, first variable highest, below a top field that
-holds the total degree.  Comparing two packed ints compares the monomials in
-graded-lex order, and multiplying two monomials adds their ints.  The top
-bit of every field is a guard bit that no stored monomial sets, so a field
-never carries into its neighbour when two monomials are added, and
-`(a - b) & guard == 0` holds exactly when b divides a.  Fields start at a
-width sized from the table (see `VarTable._layout`); an exponent that does
-not fit below the guard bit makes the polynomial repack to fields twice as
-wide, never wrap.
+Monomials.  Each monomial is one int that packs its exponent vector: one
+field of `width` bits per variable of the VarTable, the first variable in
+the highest field, and above them an unbounded field holding the total
+degree.  Comparing two packed ints therefore compares the monomials in
+graded lexicographic order, and multiplying two monomials adds their ints.
+The top bit of every variable field is a guard bit that no stored monomial
+sets (every exponent is below 2^(width-1)).  So the sum of two monomials
+never carries from one field into the next, and b divides a exactly when
+`(a - b) & guard == 0`, because a field that borrows sets its guard bit.
 
-Coefficients are arbitrary-precision rationals (gmpy2.mpq when available,
-fractions.Fraction otherwise); no floating point is used anywhere.  No
-stored coefficient is zero, so the zero polynomial has no terms and two
-polynomials are equal iff their term lists are equal.
+Field sizing.  A table's fields start wide enough for a whole monomial,
+degree field included, to fit 64 bits, but never narrower than 8 bits
+(`VarTable._layout`).  An exponent that does not fit below the guard bit
+makes the polynomial repack into fields twice as wide: a constructor picks
+the width its largest exponent needs, and a product whose exponents reach a
+guard bit (exact, since nothing carried) is repacked before it is stored.
+Operands of different widths are repacked to the wider one.  Nothing wraps.
 
-Products and quotients are computed with a heap of pending term products,
-which yields the result's terms in descending order (Johnson 1974; Monagan
-and Pearce, CASC 2007).  Rational functions are stored as a num/den pair;
+Coefficients.  A polynomial is stored as a rational content n/d times a
+primitive integer polynomial: integer coefficients with gcd 1 and a
+positive leading coefficient, n/d in lowest terms with d > 0.  This normal
+form is unique, so equality compares the stored parts, and the hot loops
+run on Python ints.  By Gauss's lemma a product of primitive polynomials is
+primitive, and when one primitive polynomial divides another over Q the
+quotient is a primitive integer polynomial, so exact division is decided
+over Z.  Coefficients that leave the module are arbitrary-precision
+rationals (gmpy2.mpq when available, fractions.Fraction otherwise); no
+floating point is used anywhere.
+
+Terms are kept in descending graded-lex order.  Exact division is the heap
+division of Monagan and Pearce (CASC 2007): a heap of pending products of
+the quotient and the divisor yields each leading term of the remainder
+without rescanning it.  Rational functions are stored as a num/den pair;
 normalization scales the denominator's leading coefficient to +1 and
 cancels cheap common factors (monomial content, and exact polynomial
 division when it succeeds).  Full gcd reduction is deliberately not
@@ -35,6 +48,7 @@ from collections.abc import Mapping
 from functools import reduce
 from heapq import heappop, heappush, heapreplace
 from itertools import combinations
+from math import gcd, lcm
 from operator import or_
 
 try:
@@ -70,6 +84,11 @@ class NonExactDivision(RingError):
 
 def _is_rational(x):
     return isinstance(x, (int, numbers.Rational))
+
+
+def _ratio(x):
+    """(numerator, denominator) of a rational as Python ints."""
+    return int(x.numerator), int(x.denominator)
 
 
 class _Layout:
@@ -151,20 +170,20 @@ class VarTable:
         lay = self._layout()
         i = self.index(name)
         return _poly(self, lay, [(1 << lay.deg_shift) | (1 << lay.shifts[i])],
-                     [QQ(1)])
+                     [1], 1, 1)
 
     def const(self, value):
         """The constant polynomial `value`."""
-        value = QQ(value)
-        if value == 0:
+        n, d = _ratio(value if _is_rational(value) else QQ(value))
+        if n == 0:
             return self.zero()
-        return _poly(self, self._layout(), [0], [value])
+        return _poly(self, self._layout(), [0], [1], n, d)
 
     def zero(self):
-        return _poly(self, self._layout(), [], [])
+        return _poly(self, self._layout(), [], [], 0, 1)
 
     def one(self):
-        return self.const(1)
+        return _poly(self, self._layout(), [0], [1], 1, 1)
 
 
 def canonical_vartable(n_u=0, n_w=0, free_params=("t", "a", "b", "c", "d"),
@@ -179,14 +198,57 @@ def canonical_vartable(n_u=0, n_w=0, free_params=("t", "a", "b", "c", "d"),
     return VarTable(names)
 
 
-def _poly(vt, lay, exps, coeffs):
-    """A MultiPoly from descending packed monomials and nonzero coeffs."""
+def _poly(vt, lay, exps, coeffs, n, d):
+    """The MultiPoly (n/d) * sum(coeffs[i] * x^exps[i]).
+
+    `exps` are packed monomials in descending order and `coeffs` a primitive
+    integer list (gcd 1, first entry positive); n/d is in lowest terms with
+    d > 0.  The zero polynomial is ([], [], 0, 1).
+    """
     p = object.__new__(MultiPoly)
     p.vars = vt
     p._lay = lay
     p._e = exps
     p._c = coeffs
+    p._n = n
+    p._d = d
     return p
+
+
+def _normalized(vt, lay, exps, ints, n, d):
+    """_poly for nonzero integer coefficients with any content and n/d."""
+    g = gcd(*ints)
+    if ints[0] < 0:
+        g = -g
+    if g != 1:
+        ints = [c // g for c in ints]
+        n *= g
+    if d < 0:
+        n, d = -n, -d
+    g = gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    return _poly(vt, lay, exps, ints, n, d)
+
+
+def _scaled(p, n, d):
+    """p * (n/d) for ints n, d with d != 0."""
+    if not n or not p._e:
+        return p.vars.zero()
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    g1, g2 = gcd(p._n, d), gcd(n, p._d)
+    n, d = (p._n // g1) * (n // g2), (p._d // g2) * (d // g1)
+    if d < 0:
+        n, d = -n, -d
+    return _poly(p.vars, p._lay, p._e, p._c, n, d)
+
+
+def _coeff(p, c):
+    """(numerator, denominator) of the coefficient n/d * c in lowest terms."""
+    g = gcd(c, p._d)
+    return c // g * p._n, p._d // g
 
 
 def _repacked(p, lay):
@@ -194,7 +256,8 @@ def _repacked(p, lay):
     if p._lay.width == lay.width:
         return p
     unpack, pack = p._lay.unpack, lay.pack
-    return _poly(p.vars, lay, [pack(unpack(e)) for e in p._e], p._c)
+    return _poly(p.vars, lay, [pack(unpack(e)) for e in p._e], p._c, p._n,
+                 p._d)
 
 
 def _same_layout(a, b):
@@ -230,18 +293,19 @@ class _Terms(Mapping):
         i = self._index.get(lay.pack(exps))
         if i is None:
             raise KeyError(exps)
-        return self._p._c[i]
+        return QQ(*_coeff(self._p, self._p._c[i]))
 
 
 class MultiPoly:
     """Sparse multivariate polynomial with big-rational coefficients.
 
-    Treated as immutable: all operations return new objects.  No stored
-    coefficient is zero, so comparing term lists is canonical equality.
-    `terms` views the polynomial as {exponent tuple: coefficient}.
+    Stored as content times primitive part, as the module docstring
+    describes; `_poly` lists the fields.  Treated as immutable: all
+    operations return new objects.  `terms` views the polynomial as
+    {exponent tuple: coefficient}.
     """
 
-    __slots__ = ("vars", "_lay", "_e", "_c")
+    __slots__ = ("vars", "_lay", "_e", "_c", "_n", "_d")
 
     def __init__(self, vartable, terms):
         items = []
@@ -250,14 +314,20 @@ class MultiPoly:
                     not isinstance(k, int) or k < 0 for k in exps):
                 raise RingError(f"bad exponent vector {exps!r}")
             if c != 0:
-                items.append((exps, QQ(c)))
+                items.append((exps, _ratio(c if _is_rational(c) else QQ(c))))
         lay = vartable._layout(max((max(e, default=0) for e, _ in items),
                                    default=0))
-        packed = sorted(((lay.pack(e), c) for e, c in items), reverse=True)
         self.vars = vartable
         self._lay = lay
-        self._e = [e for e, _ in packed]
-        self._c = [c for _, c in packed]
+        if not items:
+            self._e, self._c, self._n, self._d = [], [], 0, 1
+            return
+        den = lcm(*(d for _, (_, d) in items))
+        packed = sorted(((lay.pack(e), n * (den // d)) for e, (n, d) in items),
+                        reverse=True)
+        p = _normalized(vartable, lay, [e for e, _ in packed],
+                        [c for _, c in packed], 1, den)
+        self._e, self._c, self._n, self._d = p._e, p._c, p._n, p._d
 
     @property
     def terms(self):
@@ -283,11 +353,9 @@ class MultiPoly:
         return not self._e or self._e[0] == 0
 
     def constant_value(self):
-        if self.is_zero():
-            return QQ(0)
         if not self.is_constant():
             raise RingError("not a constant polynomial")
-        return self._c[0]
+        return QQ(self._n, self._d)
 
     def total_degree(self):
         """Total degree; -1 for the zero polynomial."""
@@ -305,7 +373,7 @@ class MultiPoly:
         """(exponents, coefficient) of the graded-lex leading term."""
         if not self._e:
             raise RingError("zero polynomial has no leading term")
-        return self._lay.unpack(self._e[0]), self._c[0]
+        return self._lay.unpack(self._e[0]), QQ(*_coeff(self, self._c[0]))
 
     # -- arithmetic -----------------------------------------------------
 
@@ -314,18 +382,32 @@ class MultiPoly:
         if other is None:
             return NotImplemented
         a, b = _same_layout(self, other)
-        acc = dict(zip(a._e, a._c))
+        if not a._e:
+            return b
+        if not b._e:
+            return a
+        # a + b = (h/den) * (sa*A + sb*B) over the primitive parts A, B
+        g = gcd(a._d, b._d)
+        sa, sb, den = a._n * (b._d // g), b._n * (a._d // g), a._d // g * b._d
+        h = gcd(sa, sb)
+        sa //= h
+        sb //= h
+        acc = dict(zip(a._e, a._c if sa == 1 else [sa * c for c in a._c]))
         get = acc.get
         for e, c in zip(b._e, b._c):
-            acc[e] = get(e, 0) + c
+            acc[e] = get(e, 0) + sb * c
         # two descending runs: the sort merges them in linear time
         exps = sorted((e for e, c in acc.items() if c), reverse=True)
-        return _poly(a.vars, a._lay, exps, [acc[e] for e in exps])
+        if not exps:
+            return a.vars.zero()
+        return _normalized(a.vars, a._lay, exps, [acc[e] for e in exps], h,
+                           den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _poly(self.vars, self._lay, self._e, [-c for c in self._c])
+        return _poly(self.vars, self._lay, self._e, self._c, -self._n,
+                     self._d)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -345,7 +427,7 @@ class MultiPoly:
             return a.vars.zero()
         if len(a._e) > len(b._e):
             a, b = b, a
-        exps, coeffs = _heap_product(a._e, a._c, b._e, b._c)
+        exps, coeffs = _product(a._e, a._c, b._e, b._c)
         lay = a._lay
         if reduce(or_, exps) & lay.guard:
             # a field reached its guard bit: the sums are exact (nothing
@@ -353,7 +435,10 @@ class MultiPoly:
             wide = a.vars._layout(lay.limit)
             exps = [wide.pack(lay.unpack(e)) for e in exps]
             lay = wide
-        return _poly(a.vars, lay, exps, coeffs)
+        # primitive times primitive is primitive (Gauss), leading term > 0
+        g1, g2 = gcd(a._n, b._d), gcd(b._n, a._d)
+        return _poly(a.vars, lay, exps, coeffs,
+                     (a._n // g1) * (b._n // g2), (a._d // g2) * (b._d // g1))
 
     __rmul__ = __mul__
 
@@ -373,9 +458,8 @@ class MultiPoly:
         if _is_rational(other):
             if other == 0:
                 raise ZeroDivisionError("division by zero")
-            inv = QQ(1) / QQ(other)
-            return _poly(self.vars, self._lay, self._e,
-                         [c * inv for c in self._c])
+            n, d = _ratio(other)
+            return _scaled(self, d, n)
         if isinstance(other, MultiPoly):
             return RatFunc(self, other)
         return NotImplemented
@@ -385,11 +469,12 @@ class MultiPoly:
             if self.vars != other.vars:
                 return False
             a, b = _same_layout(self, other)
-            return a._e == b._e and a._c == b._c
+            return (a._n == b._n and a._d == b._d and a._e == b._e
+                    and a._c == b._c)
         if _is_rational(other):
             if other == 0:
                 return not self._e
-            return self._e == [0] and self._c[0] == other
+            return self._e == [0] and (self._n, self._d) == _ratio(other)
         if isinstance(other, RatFunc):
             return other == self
         return NotImplemented
@@ -397,8 +482,8 @@ class MultiPoly:
     def __hash__(self):
         # total degrees do not depend on the field width
         ds = self._lay.deg_shift
-        return hash((self.vars, tuple(e >> ds for e in self._e),
-                     tuple(self._c)))
+        return hash((self.vars, self._n, self._d,
+                     tuple(e >> ds for e in self._e), tuple(self._c)))
 
     # -- evaluation / substitution --------------------------------------
 
@@ -413,7 +498,7 @@ class MultiPoly:
                 if k:
                     term = term * v ** k
             total += term
-        return total
+        return total * QQ(self._n, self._d)
 
     def substitute(self, bindings):
         """Simultaneously substitute variables by RatFunc/rational values.
@@ -445,7 +530,8 @@ class MultiPoly:
                     term = term * vals[i] ** k
                 else:
                     residual[i] = k
-            mono = _poly(self.vars, lay, [lay.pack(residual)], [c])
+            mono = _poly(self.vars, lay, [lay.pack(residual)], [1],
+                         *_coeff(self, c))
             total = total + term * RatFunc(mono, self.vars.one())
         return total
 
@@ -457,6 +543,8 @@ class MultiPoly:
         parts = []
         unpack = self._lay.unpack
         for e, c in zip(self._e, self._c):
+            n, d = _coeff(self, c)
+            coeff = str(n) if d == 1 else f"{n}/{d}"
             factors = []
             for name, k in zip(self.vars.names, unpack(e)):
                 if k == 1:
@@ -464,13 +552,13 @@ class MultiPoly:
                 elif k > 1:
                     factors.append(f"{name}^{k}")
             if not factors:
-                body = str(c)
-            elif c == 1:
+                body = coeff
+            elif coeff == "1":
                 body = "*".join(factors)
-            elif c == -1:
+            elif coeff == "-1":
                 body = "-" + "*".join(factors)
             else:
-                body = str(c) + "*" + "*".join(factors)
+                body = coeff + "*" + "*".join(factors)
             parts.append(body)
         out = parts[0]
         for p in parts[1:]:
@@ -481,52 +569,43 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
-def _heap_product(ae, ac, be, bc):
+def _product(ae, ac, be, bc):
     """Terms of a*b for nonzero term lists, `a` the shorter one.
 
-    Johnson's method: the heap holds, for each term a_i reached so far, the
-    next pending product a_i*b_j, so terms come out in descending order and
-    like terms are summed as they meet.
+    Like terms are summed in a dict keyed by packed monomial, and one sort
+    puts the result in descending order.  In CPython this runs about twice
+    as fast as Johnson's heap product, which spends its time in heap
+    operations on tuples.
     """
     if len(ae) == 1:
         e0, c0 = ae[0], ac[0]
-        return [e0 + e for e in be], [c0 * c for c in bc]
-    na, nb = len(ae), len(be)
-    b0 = be[0]
-    heap = [(-ae[0] - b0, 0, 0)]
-    exps, coeffs = [], []
-    while heap:
-        key = heap[0][0]
-        acc = 0
-        while heap and heap[0][0] == key:
-            _, i, j = heap[0]
-            acc += ac[i] * bc[j]
-            if j == 0 and i + 1 < na:
-                heappush(heap, (-ae[i + 1] - b0, i + 1, 0))
-            j += 1
-            if j < nb:
-                heapreplace(heap, (-ae[i] - be[j], i, j))
-            else:
-                heappop(heap)
-        if acc:
-            exps.append(-key)
-            coeffs.append(acc)
-    return exps, coeffs
+        return [e0 + e for e in be], [c0 * c for c in bc] if c0 != 1 else bc
+    acc = {}
+    get = acc.get
+    for ea, ca in zip(ae, ac):
+        for eb, cb in zip(be, bc):
+            e = ea + eb
+            acc[e] = get(e, 0) + ca * cb
+    exps = sorted((e for e, c in acc.items() if c), reverse=True)
+    return exps, [acc[e] for e in exps]
 
 
 def _heap_quotient(ae, ac, be, bc, guard):
     """Terms of a/b if b divides a exactly, else None; b not constant.
 
-    Monagan-Pearce division: the heap holds the pending products q_i*b_j
-    (j >= 1) of the quotient found so far, so the remainder's leading term
-    is the larger of the next term of a and the heap top, found without
-    scanning the remainder.  The first leading term that b's leading term
-    does not divide ends the division, as does a quotient term below the
-    lowest one an exact quotient can have (lowest of a over lowest of b).
+    Both term lists are primitive integer polynomials, so an exact quotient
+    has integer coefficients (Gauss's lemma) and a coefficient that b's
+    leading coefficient does not divide proves a remainder.  Monagan-Pearce
+    division: the heap holds the pending products q_i*b_j (j >= 1) of the
+    quotient found so far, so the remainder's leading term is the larger of
+    the next term of a and the heap top, found without scanning the
+    remainder.  The first leading term that b's leading term does not divide
+    ends the division, as does a quotient term below the lowest one an exact
+    quotient can have (the lowest term of a over the lowest term of b).
     """
     b0e, b0c = be[0], bc[0]
     q_low = ae[-1] - be[-1]
-    if q_low & guard:
+    if q_low & guard or ac[-1] % bc[-1]:
         return None
     nb, na = len(be), len(ae)
     qe, qc = [], []
@@ -553,10 +632,13 @@ def _heap_quotient(ae, ac, be, bc, guard):
         q = -key - b0e
         if q & guard or q < q_low:
             return None
+        c, r = divmod(acc, b0c)
+        if r:
+            return None
         if nb > 1:
             heappush(heap, (-q - be[1], len(qe), 1))
         qe.append(q)
-        qc.append(acc / b0c)
+        qc.append(c)
     return qe, qc
 
 
@@ -573,12 +655,13 @@ def try_exact_divide(num, den):
     if num.is_zero():
         return num.vars.zero()
     if den.is_constant():
-        return num / den.constant_value()
+        return _scaled(num, den._d, den._n)
     num, den = _same_layout(num, den)
     terms = _heap_quotient(num._e, num._c, den._e, den._c, num._lay.guard)
     if terms is None:
         return None
-    return _poly(num.vars, num._lay, *terms)
+    return _scaled(_poly(num.vars, num._lay, *terms, num._n, num._d),
+                   den._d, den._n)
 
 
 def exact_divide(num, den):
@@ -620,10 +703,10 @@ class RatFunc:
                 q = try_exact_divide(den, num)
                 if q is not None and not num.is_constant():
                     num, den = num.vars.one(), q
-        lc = den._c[0]
-        if lc != 1:
-            num = num / lc
-            den = den / lc
+        lc_n, lc_d = den._c[0] * den._n, den._d
+        if lc_n != lc_d:
+            num = _scaled(num, lc_d, lc_n)
+            den = _scaled(den, lc_d, lc_n)
         self.num = num
         self.den = den
 
@@ -761,28 +844,25 @@ def _cancel_monomial_content(num, den):
     if num.is_zero() or den.is_zero():
         return num, den
     num, den = _same_layout(num, den)
-    if not num._e[-1] or not den._e[-1]:
-        return num, den                 # a constant term: nothing in common
     lay = num._lay
-    mask = lay.mask
-    common = 0
-    for s in lay.shifts:
-        low = mask
-        for p in (num, den):
-            for e in p._e:
-                k = (e >> s) & mask
-                if k < low:
-                    low = k
-                    if not k:
-                        break
-            if not low:
-                break
-        if low:
-            common += (low << lay.deg_shift) | (low << s)
+    guard, top, fields = lay.guard, lay.width - 1, (1 << lay.deg_shift) - 1
+    common = den._e[-1] & fields
+    for p in (den, num):
+        for e in p._e:
+            if not common:
+                return num, den
+            # fieldwise min: the guard bit of (common | guard) - e survives
+            # in the fields where common >= e, and spreads to a field mask
+            ge = ((common | guard) - (e & fields)) & guard
+            wider = (ge << 1) - (ge >> top)
+            common = (e & wider) | (common & ~wider)
     if not common:
         return num, den
-    return (_poly(num.vars, lay, [e - common for e in num._e], num._c),
-            _poly(den.vars, lay, [e - common for e in den._e], den._c))
+    common |= sum(lay.unpack(common)) << lay.deg_shift
+    return (_poly(num.vars, lay, [e - common for e in num._e], num._c,
+                  num._n, num._d),
+            _poly(den.vars, lay, [e - common for e in den._e], den._c,
+                  den._n, den._d))
 
 
 def _cross_cancel(num, den):
@@ -904,13 +984,9 @@ def random_point(seed, vartable, avoid=()):
 # -- JSON serialization -------------------------------------------------
 
 
-def _coeff_str(c):
-    return f"{c.numerator}/{c.denominator}"
-
-
 def poly_to_json(p):
     unpack = p._lay.unpack
-    terms = [{"coeff": _coeff_str(c), "exps": list(unpack(e))}
+    terms = [{"coeff": "%d/%d" % _coeff(p, c), "exps": list(unpack(e))}
              for e, c in zip(p._e, p._c)]
     return {"vars": list(p.vars.names), "terms": terms}
 
