@@ -7,8 +7,8 @@ a JSON-lines report, and `sample-params` draws a seeded parameter set in
 the format accepted by --params.
 
 Exit codes: 0 success, 1 computation error (e.g. coincident spectral
-values), 2 usage error (bad flags, out-of-range configurations, invalid
-parameter files), 3 verification failure.  Identical invocations produce
+values), 2 usage error (bad flags, out-of-range configurations or check
+sizes, invalid parameter files), 3 verification failure.  Identical invocations produce
 byte-identical output; symbolic text output uses the graded-lexicographic
 monomial order.
 """
@@ -26,7 +26,8 @@ from .params import ParamError, ParamSet
 from .ring import (QQ, RatFunc, RingError, VarTable, canonical_vartable,
                    ratfunc_to_json)
 from .sympoly import family_poly, grothendieck_det, skew_factor
-from .verify import CHECK_NAMES, CheckSpec, default_suite, run_checks
+from .verify import (CHECK_NAMES, CheckSpec, SpecError, default_suite,
+                     run_checks)
 
 __all__ = ["main"]
 
@@ -165,6 +166,9 @@ def _cmd_compute(args):
         if x is None:
             raise UsageError("grothendieck requires --x as the partition")
         lam = x
+        if any(a < b for a, b in zip(lam, lam[1:])) or min(lam) < 0:
+            raise UsageError(f"--x {args.x} is not a partition (weakly "
+                             "decreasing, non-negative parts)")
         n = len(lam)
         if args.symbolic:
             vt = VarTable(["beta"] + [f"z{j}" for j in range(1, n + 1)])
@@ -303,6 +307,9 @@ def main(argv=None):
         return _EXIT_USAGE
     except ParamError as exc:
         print(f"error: invalid parameters: {exc}", file=sys.stderr)
+        return _EXIT_USAGE
+    except SpecError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     except (RingError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

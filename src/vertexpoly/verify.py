@@ -35,8 +35,8 @@ from .params import ParamSet
 from .ring import QQ, RatFunc, RingError, canonical_vartable
 from .sympoly import (degeneration_rhs, family_poly, interlaces, skew_factor)
 
-__all__ = ["CheckSpec", "CheckReport", "CHECK_NAMES", "run_check",
-           "run_checks", "default_suite", "reports_to_jsonl"]
+__all__ = ["CheckSpec", "CheckReport", "CHECK_NAMES", "SpecError",
+           "run_check", "run_checks", "default_suite", "reports_to_jsonl"]
 
 
 _CONFIG_SAMPLE_LIMIT = 500
@@ -48,6 +48,22 @@ _KIND_TABLE = [
     ("phi", "H", "hole"),
     ("phi_dual", "Hbar", "hole"),
 ]
+
+
+class SpecError(RingError):
+    """A CheckSpec asks for a mode or sizes its check cannot run at."""
+
+
+# the sizes a check runs at; outside them it would compare nothing, or
+# compare against a side it cannot build
+_SIZE_RULES = {
+    "correspondence": (lambda m, n: 0 <= n <= m, "0 <= n <= m"),
+    "pairing": (lambda m, n: 0 <= n <= m, "0 <= n <= m"),
+    "branching": (lambda m, n: 0 <= n < m, "0 <= n < m"),
+    "degeneration": (lambda m, n: 0 <= n <= m, "0 <= n <= m"),
+    "mp-algebra": (lambda m, n: 1 <= n <= m, "1 <= n <= m"),
+    "ik-properties": (lambda m, n: n >= 2, "n >= 2"),
+}
 
 
 @dataclass(frozen=True)
@@ -64,9 +80,13 @@ class CheckSpec:
 
     def __post_init__(self):
         if self.mode not in ("exact", "eval"):
-            raise RingError(f"unknown mode {self.mode!r}")
+            raise SpecError(f"unknown mode {self.mode!r}")
         if self.mode == "eval" and self.trials < 1:
-            raise RingError("eval mode requires trials >= 1")
+            raise SpecError("eval mode requires trials >= 1")
+        valid, rule = _SIZE_RULES.get(self.name, (lambda m, n: True, ""))
+        if not valid(self.m, self.n):
+            raise SpecError(f"{self.name} needs {rule}, got m={self.m}, "
+                            f"n={self.n}")
 
 
 @dataclass
@@ -450,10 +470,12 @@ def run_check(spec):
     start = time.perf_counter()
     rec = fn(spec)
     ms = (time.perf_counter() - start) * 1000
-    return CheckReport(spec.name, rec.passed,
+    # a check that compared nothing has shown nothing
+    return CheckReport(spec.name, rec.passed and rec.count > 0,
                        breakdown={"comparisons": rec.count,
                                   "mode": spec.mode},
-                       witness=rec.witness, ms=ms)
+                       witness=rec.witness if rec.count else
+                       {"reason": "no comparisons made"}, ms=ms)
 
 
 def _pool_size():

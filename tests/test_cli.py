@@ -177,3 +177,16 @@ def test_golden_output(capsys, argv, sha256, size):
     data = out.encode()
     assert code == 0 and err == ""
     assert (hashlib.sha256(data).hexdigest(), len(data)) == (sha256, size)
+
+
+@pytest.mark.parametrize("argv", [
+    "verify correspondence --m 2 --n 3",
+    "verify branching --m 2 --n 2",
+    "verify pairing --m 3 --n 5",
+    "verify all --mode eval --trials 0",
+    "compute grothendieck --x 1,3",
+    "verify ik-properties --n 1",
+])
+def test_invalid_sizes_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == "" and err.startswith("error: ")

@@ -81,3 +81,13 @@ def test_check_names_cover_the_registry():
     assert set(CHECK_NAMES) >= {"correspondence", "pairing", "branching",
                                 "degeneration", "mp-algebra", "ik-properties",
                                 "rll", "ybe"}
+
+
+def test_check_that_compares_nothing_fails(monkeypatch):
+    import vertexpoly.verify as vf
+
+    monkeypatch.setitem(vf._CHECKS, "rll", lambda spec: vf._Recorder())
+    report = run_check(CheckSpec("rll", mode="eval", trials=1))
+    assert not report.passed
+    assert report.breakdown["comparisons"] == 0
+    assert report.witness == {"reason": "no comparisons made"}
