@@ -382,10 +382,9 @@ class MultiPoly:
         if other is None:
             return NotImplemented
         a, b = _same_layout(self, other)
-        if not a._e:
-            return b
-        if not b._e:
-            return a
+        if not a._e or not b._e:
+            a = a if a._e else b
+            return _poly(a.vars, a._lay, a._e, a._c, a._n, a._d)
         # a + b = (h/den) * (sa*A + sb*B) over the primitive parts A, B
         g = gcd(a._d, b._d)
         sa, sb, den = a._n * (b._d // g), b._n * (a._d // g), a._d // g * b._d
