@@ -8,9 +8,9 @@ the format accepted by --params.
 
 Exit codes: 0 success, 1 computation error (e.g. coincident spectral
 values), 2 usage error (bad flags, out-of-range configurations or check
-sizes, invalid parameter files), 3 verification failure.  Identical invocations produce
-byte-identical output; symbolic text output uses the graded-lexicographic
-monomial order.
+sizes, invalid parameter files), 3 verification failure.  Identical
+invocations produce byte-identical output; symbolic text output uses the
+graded-lexicographic monomial order.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections.abc import Mapping
 
 import pytest
 
@@ -178,3 +179,27 @@ def test_random_point_is_deterministic_and_avoids_zeros(vt):
 def test_canonical_vartable_ordering():
     vt = canonical_vartable(n_u=2, n_w=1, beta=True)
     assert vt.names == ("t", "a", "b", "c", "d", "beta", "u1", "u2", "w1")
+
+
+def test_exponents_past_the_field_width_repack():
+    # an 8-variable table starts with 8-bit fields: exponents up to 127
+    vt = VarTable([f"v{i}" for i in range(8)])
+    a = MultiPoly(vt, {(127, 1) + (0,) * 6: QQ(1), (0,) * 8: QQ(1)})
+    b = MultiPoly(vt, {(1, 127) + (0,) * 6: QQ(2, 3)})
+    prod = a * b
+    assert dict(prod.terms) == {(128, 128) + (0,) * 6: QQ(2, 3),
+                                (1, 127) + (0,) * 6: QQ(2, 3)}
+    assert exact_divide(prod, b) == a and exact_divide(prod, a) == b
+    assert try_exact_divide(prod + 1, b) is None
+    assert prod - a * b == vt.zero()
+
+
+def test_public_values_are_rationals(vt):
+    p = MultiPoly(vt, {(1, 0, 2): 3, (0, 0, 0): QQ(1, 2)})
+    assert isinstance(p.terms, Mapping) and len(p.terms) == 2
+    assert p.terms[(1, 0, 2)] == 3 and isinstance(p.terms[(1, 0, 2)], QQ)
+    assert p.leading() == ((1, 0, 2), QQ(3))
+    assert isinstance(p.leading()[1], QQ)
+    assert isinstance(vt.const(4).constant_value(), QQ)
+    value = p.evaluate({"x": 1, "y": 5, "z": 2})
+    assert value == QQ(25, 2) and isinstance(value, QQ)
