@@ -167,6 +167,24 @@ GOLDEN = [
      "2c306df0a7ccd3f995a88098f879dbca82178dbfb7749230e908060bd8d7052d", 64),
     ("compute wavefunction --m 5 --x 1,3,5 --seed 7 --format json",
      "fde08cde8ffce317c58faf7b7d0071260002b05ceb650384a39330bfa9fe49c0", 658),
+    ("compute family --kind G --m 6 --x 1,3,6 --seed 4",
+     "cc6a64f8ed2b5ff4d50982898149d4233947089e0c2a3272c8bd0661802abb32", 801),
+    ("compute family --kind Gbar --m 6 --x 1,3,6 --seed 4",
+     "c519c56f9d19ff892b687d9371f7c9fab2861c87400944c38934a30a10de8aad", 817),
+    ("compute family --kind H --m 6 --xbar 1,3,6 --seed 4",
+     "275a1e21e62f01d827a8834378799af21b647328d1cc8e7480087e38540b47fc", 854),
+    ("compute family --kind Hbar --m 6 --xbar 1,3,6 --seed 4",
+     "6276727c8537c9759119fe2cdf7bff0f5f1b11c54ce78b7bbfaf307fbc362d36", 843),
+    ("compute dwbp-det --kind inhom --n 3 --seed 3",
+     "aaae12d357222069355263cf6ca5f3983b1c2a9ac21ad4f2ce5b90ba3aa0e545", 430),
+    ("compute grothendieck --x 4,2,1 --seed 8",
+     "4f9ff515c6841d566588a24df52886035d08931883bf3f9bdb51f4234cd84cca", 151),
+    ("sample-params --seed 3",
+     "7f0c53066e058ec5b559281138cac541cfc4de5629ec634a0709cf79ac2f8eb6", 109),
+    ("verify all --mode eval --m 5 --n 2 --seed 4",
+     "96380fba3646a03bf8a57461c3c5ef7bda24b90730ecd83263ec5af87f501496", 552),
+    ("verify all --mode exact --m 3 --n 2",
+     "96380fba3646a03bf8a57461c3c5ef7bda24b90730ecd83263ec5af87f501496", 552),
 ]
 
 
@@ -174,7 +192,8 @@ GOLDEN = [
                          ids=[g[0] for g in GOLDEN])
 def test_golden_output(capsys, argv, sha256, size):
     code, out, err = run(capsys, *argv.split())
-    data = out.encode()
+    # verify reports carry a wall-time field; everything else is pinned
+    data = re.sub(r'"ms": [0-9.]+', '"ms": 0', out).encode()
     assert code == 0 and err == ""
     assert (hashlib.sha256(data).hexdigest(), len(data)) == (sha256, size)
 
