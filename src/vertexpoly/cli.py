@@ -23,8 +23,8 @@ import sys
 from .dwbp import z_det_hom, z_det_inhom, z_sum
 from .lattice import HoleConfig, ParticleConfig, wavefunction
 from .params import ParamError, ParamSet
-from .ring import (QQ, RatFunc, RingError, VarTable, canonical_vartable,
-                   ratfunc_to_json)
+from .ring import (QQ, RatFunc, RingError, VarTable, distinct_rationals,
+                   random_rational, ratfunc_to_json)
 from .sympoly import family_poly, grothendieck_det, skew_factor
 from .verify import (CHECK_NAMES, CheckSpec, SpecError, default_suite,
                      run_checks)
@@ -125,13 +125,7 @@ def _load_params(path):
 
 
 def _numeric_spectral(seed, n):
-    rng = random.Random(seed * 0x5DEECE66D + 11)
-    values = []
-    while len(values) < n:
-        v = QQ(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
-        if v not in values:
-            values.append(v)
-    return values
+    return distinct_rationals(random.Random(seed * 0x5DEECE66D + 11), n)
 
 
 def _emit(value, fmt):
@@ -175,8 +169,7 @@ def _cmd_compute(args):
             beta = RatFunc(vt.var("beta"))
             zs = [RatFunc(vt.var(f"z{j}")) for j in range(1, n + 1)]
         else:
-            rng = random.Random(args.seed * 0x5DEECE66D + 29)
-            beta = QQ(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+            beta = random_rational(random.Random(args.seed * 0x5DEECE66D + 29))
             zs = _numeric_spectral(args.seed + 1, n)
         _emit(grothendieck_det(lam, zs, beta), args.format)
         return _EXIT_OK
@@ -192,7 +185,7 @@ def _cmd_compute(args):
                                                "dual-hom"):
             raise UsageError(f"unknown dwbp-det variant {variant!r}")
         inhomogeneous = variant in ("inhom", "dual-inhom")
-        p, us, ws = _dwbp_setup(args, n, inhomogeneous)
+        p, us, ws = _setup(args, n, n if inhomogeneous else 0)
         if q == "dwbp-sum":
             _emit(z_sum(us, p), args.format)
         elif inhomogeneous:
@@ -216,7 +209,7 @@ def _cmd_compute(args):
         if len(x) != len(xbar) + 1:
             raise UsageError("the larger configuration must have exactly "
                              "one more entry than the smaller")
-        p, us = _compute_setup(args, 1)
+        p, us, _ = _setup(args, 1)
         _emit(skew_factor(kind, x, xbar, us[0], p, args.m), args.format)
         return _EXIT_OK
 
@@ -232,7 +225,7 @@ def _cmd_compute(args):
         if kind not in ("psi", "psi_dual", "phi", "phi_dual"):
             raise UsageError(f"unknown wavefunction kind {kind!r}")
     config = _config_for(kind, args.m, x, xbar)
-    p, us = _compute_setup(args, len(config))
+    p, us, _ = _setup(args, len(config))
     if q == "family":
         _emit(family_poly(kind, config, us, p), args.format)
     else:
@@ -240,34 +233,16 @@ def _cmd_compute(args):
     return _EXIT_OK
 
 
-def _compute_setup(args, n_u):
-    """Parameters and spectral list for a compute invocation."""
+def _setup(args, n_u, n_w=0):
+    """Parameters, spectral list and inhomogeneities (None unless n_w > 0)
+    for a compute invocation."""
+    params = _load_params(args.params) if args.params else None
     if args.symbolic:
-        if args.params is not None:
-            vt = canonical_vartable(n_u=n_u)
-            p = _load_params(args.params).map(lambda v: RatFunc(vt.const(v)))
-            return p, [RatFunc(vt.var(f"u{j}")) for j in range(1, n_u + 1)]
-        p = ParamSet.symbolic_canonical(n_u=n_u)
-        return p, p.spectral(n_u)
-    p = _load_params(args.params) if args.params else ParamSet.sample(args.seed)
-    return p, _numeric_spectral(args.seed, n_u)
-
-
-def _dwbp_setup(args, n, inhomogeneous):
-    """Parameters, spectral list and inhomogeneities for the dwbp commands."""
-    n_w = n if inhomogeneous else 0
-    if args.symbolic:
-        vt = canonical_vartable(n_u=n, n_w=n_w)
-        if args.params is not None:
-            p = _load_params(args.params).map(lambda v: RatFunc(vt.const(v)))
-        else:
-            p = ParamSet.symbolic_over(vt, n_w=n_w)
-        us = [RatFunc(vt.var(f"u{j}")) for j in range(1, n + 1)]
-        ws = [RatFunc(vt.var(f"w{j}")) for j in range(1, n_w + 1)] or None
-        return p, us, ws
-    p = _load_params(args.params) if args.params else ParamSet.sample(args.seed)
-    ws = _numeric_spectral(args.seed + 7, n) if inhomogeneous else None
-    return p, _numeric_spectral(args.seed, n), ws
+        p = ParamSet.symbolic_point(n_u, n_w, numeric=params)
+        return p, p.spectral(n_u), p.w
+    p = params or ParamSet.sample(args.seed)
+    ws = _numeric_spectral(args.seed + 7, n_w) if n_w else None
+    return p, _numeric_spectral(args.seed, n_u), ws
 
 
 def _cmd_verify(args):

@@ -13,10 +13,13 @@ fixed by the N = 1 and N = 2 anchors.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from itertools import permutations
 
-from .ring import RingError, determinant
+from .params import ParamSet
+from .ring import (RatFunc, RingError, VarTable, determinant,
+                   distinct_rationals, random_rational)
 
 __all__ = ["z_sum", "z_det_inhom", "z_det_hom", "check_ik_properties",
            "IkReport"]
@@ -167,18 +170,9 @@ def check_ik_properties(n, p, seed, z_fn=z_sum):
         raise RingError("property checks need n >= 2")
     if p.symbolic:
         raise RingError("check_ik_properties expects a numeric ParamSet")
-    import random
-
-    from .params import ParamSet
-    from .ring import QQ, RatFunc, VarTable
-
     rng = random.Random(seed * 2654435761 + 3)
-
-    def draw():
-        return QQ(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
-
-    us = _distinct_draws(draw, n)
-    ws = _distinct_draws(draw, n)
+    us = distinct_rationals(rng, n)
+    ws = distinct_rationals(rng, n)
 
     # (1) degree in w_N: lift everything to RatFunc over the single symbol.
     vt = VarTable(["wN"])
@@ -197,7 +191,7 @@ def check_ik_properties(n, p, seed, z_fn=z_sum):
     symmetric_ok = z_fn(us, p, ws=ws) == z_fn(us_swapped, p, ws=ws)
 
     # (3) base case.
-    u1, w1 = draw(), draw()
+    u1, w1 = random_rational(rng), random_rational(rng)
     base_ok = z_fn([u1], p, ws=[w1]) == (1 - p.t) * p.c * u1
 
     # (4) recursion at w_N = -a u_k / b, for every k.
@@ -216,12 +210,3 @@ def check_ik_properties(n, p, seed, z_fn=z_sum):
                          ws=ws[:-1])
         recursion[k] = lhs == rhs
     return IkReport(degree_ok, symmetric_ok, base_ok, recursion)
-
-
-def _distinct_draws(draw, n):
-    values = []
-    while len(values) < n:
-        v = draw()
-        if v not in values:
-            values.append(v)
-    return values

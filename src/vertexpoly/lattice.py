@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .ring import RingError
+from .mprod import mat_eq, mat_mul
+from .ring import RingError, is_zero
 
 __all__ = [
     "ParticleConfig",
@@ -106,7 +107,7 @@ class StateVector:
 
     def __init__(self, m, amps=None):
         self.m = m
-        self.amps = {s: a for s, a in (amps or {}).items() if not _is_zero(a)}
+        self.amps = {s: a for s, a in (amps or {}).items() if not is_zero(a)}
 
     @classmethod
     def basis(cls, m, bits, one):
@@ -135,10 +136,6 @@ class StateVector:
 
     def __repr__(self):
         return f"StateVector(m={self.m}, {len(self.amps)} states)"
-
-
-def _is_zero(a):
-    return a.is_zero() if hasattr(a, "is_zero") else a == 0
 
 
 def l_weight(alpha, beta, gamma, delta, u, w, p):
@@ -205,7 +202,7 @@ def apply_row_operator(kind, u, s, p):
                     if gamma not in (0, 1):
                         continue
                     wgt = l_weight(aux, beta, gamma, delta, u, wj, p)
-                    if _is_zero(wgt):
+                    if is_zero(wgt):
                         continue
                     key = (gamma, obits | (delta << (j - 1)))
                     acc = nxt.get(key)
@@ -283,7 +280,7 @@ def _embed_two_site(weight_fn, pos_i, pos_j):
             for beta_out in (0, 1):
                 wgt = weight_fn(bits_in[pos_i], bits_in[pos_j],
                                 alpha_out, beta_out)
-                if _num_zero(wgt):
+                if is_zero(wgt):
                     continue
                 bits_out = [0, 0, 0]
                 bits_out[pos_i] = alpha_out
@@ -294,24 +291,14 @@ def _embed_two_site(weight_fn, pos_i, pos_j):
     return mat
 
 
-def _mat_mul8(x, y):
-    return [[sum(x[i][k] * y[k][j] for k in range(8) if not _num_zero(x[i][k]))
-             for j in range(8)] for i in range(8)]
-
-
-def _num_zero(v):
-    return v == 0 if isinstance(v, int) else _is_zero(v)
-
-
 def check_rll(u1, u2, p):
     """True iff R12(u1/u2) L13(u1) L23(u2) = L23(u2) L13(u1) R12(u1/u2)."""
     r12 = _embed_two_site(lambda a, b, g, d: r_weight(a, b, g, d, u1 / u2, p), 0, 1)
     one = p.one()
     l13 = _embed_two_site(lambda a, b, g, d: l_weight(a, b, g, d, u1, one, p), 0, 2)
     l23 = _embed_two_site(lambda a, b, g, d: l_weight(a, b, g, d, u2, one, p), 1, 2)
-    lhs = _mat_mul8(r12, _mat_mul8(l13, l23))
-    rhs = _mat_mul8(l23, _mat_mul8(l13, r12))
-    return all(lhs[i][j] == rhs[i][j] for i in range(8) for j in range(8))
+    return mat_eq(mat_mul(r12, mat_mul(l13, l23)),
+                  mat_mul(l23, mat_mul(l13, r12)))
 
 
 def check_ybe(u1, u2, p):
@@ -322,6 +309,5 @@ def check_ybe(u1, u2, p):
     r12 = emb(u1 / u2, 0, 1)
     r13 = emb(u1, 0, 2)
     r23 = emb(u2, 1, 2)
-    lhs = _mat_mul8(r12, _mat_mul8(r13, r23))
-    rhs = _mat_mul8(r23, _mat_mul8(r13, r12))
-    return all(lhs[i][j] == rhs[i][j] for i in range(8) for j in range(8))
+    return mat_eq(mat_mul(r12, mat_mul(r13, r23)),
+                  mat_mul(r23, mat_mul(r13, r12)))

@@ -19,7 +19,7 @@ attempted.
 
 from __future__ import annotations
 
-from .ring import RingError
+from .ring import RingError, is_zero
 
 __all__ = [
     "mat_mul",
@@ -50,14 +50,23 @@ def mat_zero(n, p):
 
 
 def mat_mul(x, y):
-    n, k, m2 = len(x), len(y), len(y[0])
+    """Dense product x y.
+
+    Zero entries of x are skipped (the matrices here are mostly zero); a
+    row of x with no nonzero entry gives a row of its own zero.
+    """
+    cols = len(y[0])
     out = []
-    for i in range(n):
+    for row_x in x:
+        pairs = [(v, row_y) for v, row_y in zip(row_x, y) if not is_zero(v)]
+        if not pairs:
+            out.append([row_x[0]] * cols)
+            continue
         row = []
-        for j in range(m2):
+        for j in range(cols):
             acc = None
-            for l in range(k):
-                term = x[i][l] * y[l][j]
+            for v, row_y in pairs:
+                term = v * row_y[j]
                 acc = term if acc is None else acc + term
             row.append(acc)
         out.append(row)

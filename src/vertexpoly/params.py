@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import random
 
-from .ring import QQ, RatFunc, RingError, VarTable, canonical_vartable
+from .ring import (QQ, RatFunc, RingError, canonical_vartable, is_zero,
+                   random_rational)
 
 __all__ = ["ParamSet", "ParamError"]
 
@@ -63,7 +64,7 @@ class ParamSet:
             return
         for name in ("t", "a", "b", "c", "d", "e", "f"):
             v = getattr(self, name)
-            if _scalar_is_zero(v):
+            if is_zero(v):
                 raise ParamError(f"parameter {name} must be nonzero")
         if self.t == _one_like(self.t):
             raise ParamError("t = 1 is excluded")
@@ -79,17 +80,13 @@ class ParamSet:
         n_w inhomogeneities.
         """
         rng = random.Random(seed * 1000003 + 17)
-
-        def draw():
-            return QQ(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
-
-        t = draw()
+        t = random_rational(rng)
         while t == 1:
-            t = draw()
-        w = [draw() for _ in range(n_w)] or None
+            t = random_rational(rng)
+        w = [random_rational(rng) for _ in range(n_w)] or None
         if w and len(set(w)) != len(w):
             return cls.sample(seed + 10 ** 9, n_w)
-        return cls(t, draw(), draw(), draw(), draw(), w=w)
+        return cls(t, *(random_rational(rng) for _ in range(4)), w=w)
 
     @classmethod
     def symbolic_over(cls, vartable, n_w=0):
@@ -107,6 +104,23 @@ class ParamSet:
         """Symbolic parameters over a fresh canonical variable table."""
         vt = canonical_vartable(n_u=n_u, n_w=n_w, beta=beta)
         return cls.symbolic_over(vt, n_w=n_w)
+
+    @classmethod
+    def symbolic_point(cls, n_u, n_w=0, numeric=None):
+        """Parameters over the canonical table with u1..u{n_u}, w1..w{n_w}.
+
+        t, a, b, c, d are free symbols, or the values of the numeric
+        ParamSet `numeric` lifted as constants (constraint violations
+        intact, which fault injection relies on).  With n_w > 0 the
+        inhomogeneities are the symbols w1..w{n_w}.
+        """
+        if numeric is None:
+            return cls.symbolic_canonical(n_u=n_u, n_w=n_w)
+        vt = canonical_vartable(n_u=n_u, n_w=n_w)
+        p = numeric.map(lambda v: RatFunc(vt.const(v)))
+        if n_w:
+            p.w = [RatFunc(vt.var(f"w{j}")) for j in range(1, n_w + 1)]
+        return p
 
     # -- scalar-mode helpers --------------------------------------------
 
@@ -151,10 +165,6 @@ class ParamSet:
         kind = "symbolic" if self.symbolic else "numeric"
         return f"ParamSet<{kind}>(t={self.t}, a={self.a}, b={self.b}, " \
                f"c={self.c}, d={self.d}, e={self.e}, f={self.f})"
-
-
-def _scalar_is_zero(v):
-    return v.is_zero() if isinstance(v, RatFunc) else v == 0
 
 
 def _one_like(v):

@@ -67,6 +67,9 @@ __all__ = [
     "try_exact_divide",
     "determinant",
     "random_point",
+    "random_rational",
+    "distinct_rationals",
+    "is_zero",
     "poly_to_json",
     "poly_from_json",
     "ratfunc_to_json",
@@ -973,11 +976,30 @@ def random_point(seed, vartable, avoid=()):
     """
     rng = random.Random(seed)
     for _ in range(_MAX_RESAMPLE):
-        point = {name: QQ(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
-                 for name in vartable.names}
+        point = {name: random_rational(rng) for name in vartable.names}
         if all(p.evaluate(point) != 0 for p in avoid):
             return point
     raise RingError("random_point: resampling exhausted")
+
+
+def random_rational(rng):
+    """One seeded rational, numerator and denominator uniform in [1, 10^6]."""
+    return QQ(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+
+
+def distinct_rationals(rng, n):
+    """n pairwise distinct draws of `random_rational`, in draw order."""
+    values = []
+    while len(values) < n:
+        v = random_rational(rng)
+        if v not in values:
+            values.append(v)
+    return values
+
+
+def is_zero(v):
+    """Exact zero test for any scalar: int, rational, MultiPoly or RatFunc."""
+    return v.is_zero() if hasattr(v, "is_zero") else v == 0
 
 
 # -- JSON serialization -------------------------------------------------

@@ -54,6 +54,29 @@ def young_to_config(lam, m):
     return ParticleConfig(m, tuple(x))
 
 
+# The four linear forms every site weight is built from.
+_FORMS = (
+    lambda p, u: p.a * u + p.b,
+    lambda p, u: p.a * p.t * u + p.b,
+    lambda p, u: p.e * u + p.f,
+    lambda p, u: p.e * u + p.t * p.f,
+)
+
+# Per family kind:
+# - the forms (indices into _FORMS) in the numerator and denominator of
+#   the site ratio;
+# - whether the prefactor carries c*u (else d);
+# - whether the inversion ratio is (t*x - y)/(x - t*y) rather than
+#   (x - t*y)/(t*x - y);
+# - whether the pairwise outer ratio has a factor t in its denominator.
+_FAMILY_ROWS = {
+    "G": ((2, 0), True, False, False),
+    "Gbar": ((0, 2), False, True, False),
+    "H": ((3, 1), True, True, True),
+    "Hbar": ((1, 3), False, False, True),
+}
+
+
 def family_poly(kind, config, us, p, m=None):
     """One of the four symmetric polynomial families, by its closed formula.
 
@@ -67,78 +90,32 @@ def family_poly(kind, config, us, p, m=None):
     if len(config) != n:
         raise RingError("config size must match the number of spectral parameters")
     positions = _family_positions(kind, config)
-    t, a, b, c, d, e, f = p.t, p.a, p.b, p.c, p.d, p.e, p.f
+    row = _FAMILY_ROWS.get(kind)
+    if row is None:
+        raise RingError(f"unknown family kind {kind!r}")
+    (num_form, den_form), with_cu, flipped, t_outer = row
+    t, c, d = p.t, p.c, p.d
     one = p.one()
 
-    if kind == "G":
-        def site(u):  # numerator/denominator of the per-site ratio
-            return e * u + f, a * u + b
+    def lo(x, y):
+        return x - t * y
 
-        def pref(u):
-            return (1 - t) * c * u * (a * u + b) ** m / (e * u + f)
+    def hi(x, y):
+        return t * x - y
 
-        def outer(uj, uk):  # prod_{j<k} outer(u_j, u_k)
-            return (t * uj - uk) / (uj - uk)
-
-        def inv_num(usk, usj):
-            return usk - t * usj
-
-        def inv_den(usk, usj):
-            return t * usk - usj
-    elif kind == "Gbar":
-        def site(u):
-            return a * u + b, e * u + f
-
-        def pref(u):
-            return (1 - t) * d * (e * u + f) ** m / (a * u + b)
-
-        def outer(uj, uk):
-            return (uj - t * uk) / (uj - uk)
-
-        def inv_num(usk, usj):
-            return t * usk - usj
-
-        def inv_den(usk, usj):
-            return usk - t * usj
-    elif kind == "H":
-        def site(u):
-            return e * u + t * f, a * t * u + b
-
-        def pref(u):
-            return (1 - t) * c * u * (a * t * u + b) ** m / (e * u + t * f)
-
-        def outer(uj, uk):
-            return (uj - t * uk) / (t * (uj - uk))
-
-        def inv_num(usk, usj):
-            return t * usk - usj
-
-        def inv_den(usk, usj):
-            return usk - t * usj
-    elif kind == "Hbar":
-        def site(u):
-            return a * t * u + b, e * u + t * f
-
-        def pref(u):
-            return (1 - t) * d * (e * u + t * f) ** m / (a * t * u + b)
-
-        def outer(uj, uk):
-            return (t * uj - uk) / (t * (uj - uk))
-
-        def inv_num(usk, usj):
-            return usk - t * usj
-
-        def inv_den(usk, usj):
-            return t * usk - usj
-    else:
-        raise RingError(f"unknown family kind {kind!r}")
+    inv_num, inv_den = (hi, lo) if flipped else (lo, hi)
+    site_nums = [_FORMS[num_form](p, u) for u in us]
+    site_dens = [_FORMS[den_form](p, u) for u in us]
 
     prefactor = one
-    for u in us:
-        prefactor = prefactor * pref(u)
+    for u, s_num, s_den in zip(us, site_nums, site_dens):
+        weight = (1 - t) * c * u if with_cu else (1 - t) * d
+        prefactor = prefactor * (weight * s_den ** m / s_num)
     for j in range(n):
         for k in range(j + 1, n):
-            prefactor = prefactor * outer(us[j], us[k])
+            uj, uk = us[j], us[k]
+            prefactor = prefactor * (inv_den(uj, uk) / (
+                t * (uj - uk) if t_outer else uj - uk))
 
     # The sum is accumulated over one explicit common denominator (both
     # orientations of every pairwise inversion factor, and the maximal
@@ -147,7 +124,6 @@ def family_poly(kind, config, us, p, m=None):
     # leaves denominators the normalizer cannot fully clear, which makes
     # downstream sums of family values blow up.
     x_max = positions[-1] if positions else 0
-    site_nums, site_dens = zip(*(site(u) for u in us)) if n else ((), ())
     denominator = one
     for p_idx in range(n):
         for q_idx in range(p_idx + 1, n):
@@ -267,22 +243,22 @@ def skew_factor(kind, y, x, u, p, m):
     if len(ps) != k + 1:
         raise RingError("skew subsequence extraction out of balance")
     qext = [0] + qs + [m + 1]
-    t, a, b, c, d, e, f = p.t, p.a, p.b, p.c, p.d, p.e, p.f
-    if kind in ("G", "H"):
-        result = ((1 - t) * c * u) ** (k + 1) * ((1 - t) * d) ** k
-    elif kind in ("Gbar", "Hbar"):
-        result = ((1 - t) * d) ** (k + 1) * ((1 - t) * c * u) ** k
-    else:
+    row = _FAMILY_ROWS.get(kind)
+    if row is None:
         raise RingError(f"unknown skew kind {kind!r}")
-    # Weight pairs: (between p_j and q_j: occupied/empty), then
-    # (between q_{j-1} and p_j: occupied/empty).
-    weights = {
-        "G": ((a * t * u + b, a * u + b), (e * u + t * f, e * u + f)),
-        "H": ((a * u + b, a * t * u + b), (e * u + f, e * u + t * f)),
-        "Gbar": ((e * u + t * f, e * u + f), (a * t * u + b, a * u + b)),
-        "Hbar": ((e * u + f, e * u + t * f), (a * u + b, a * t * u + b)),
-    }[kind]
-    (w_up_occ, w_up_emp), (w_dn_occ, w_dn_emp) = weights
+    (num_form, den_form), with_cu, _, _ = row
+    t = p.t
+    cu, dd = (1 - t) * p.c * u, (1 - t) * p.d
+    if with_cu:
+        result = cu ** (k + 1) * dd ** k
+    else:
+        result = dd ** (k + 1) * cu ** k
+    # Between p_j and q_j an occupied site weighs the t-partner (index ^ 1)
+    # of the site-ratio denominator form and an empty site the form
+    # itself; between q_{j-1} and p_j likewise with the numerator form.
+    w_up_occ, w_up_emp, w_dn_occ, w_dn_emp = (
+        _FORMS[i](p, u) for i in (den_form ^ 1, den_form,
+                                  num_form ^ 1, num_form))
     for j in range(1, k + 2):
         pj, qj, qprev = ps[j - 1], qext[j], qext[j - 1]
         occ_up = sum(1 for v in x if pj < v < qj)

@@ -28,11 +28,12 @@ from math import comb
 from .dwbp import check_ik_properties, z_det_hom, z_det_inhom, z_sum
 from .lattice import (HoleConfig, ParticleConfig, StateVector,
                       all_particle_configs, apply_row_operator, check_rll,
-                      check_ybe, matrix_element, wavefunction)
+                      check_ybe, wavefunction)
 from .mprod import (k_closed_form, k_prefactor, mat_eq, mat_mul, mat_scale,
                     mp_build, raising_parts, trace_wavefunction)
 from .params import ParamSet
-from .ring import QQ, RatFunc, RingError, canonical_vartable
+from .ring import (RatFunc, RingError, canonical_vartable, distinct_rationals,
+                   random_rational)
 from .sympoly import (degeneration_rhs, family_poly, interlaces, skew_factor)
 
 __all__ = ["CheckSpec", "CheckReport", "CHECK_NAMES", "SpecError",
@@ -130,37 +131,33 @@ def _rng(spec, salt):
     return random.Random((spec.seed * 0x9E3779B1 + salt) & 0xFFFFFFFF)
 
 
-def _draw_distinct(rng, n, lift=lambda v: v):
-    values = []
-    while len(values) < n:
-        v = QQ(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
-        if v not in values:
-            values.append(v)
-    return [lift(v) for v in values]
+def _trial_params(spec, trial):
+    """Numeric params for one eval-mode trial: the override or a seeded draw."""
+    return spec.params or ParamSet.sample(spec.seed * 7919 + trial * 31 + 1)
 
 
-def _trial_setup(spec, trial, n_u):
-    """Numeric (params, spectral list) for one eval-mode trial."""
-    p = spec.params or ParamSet.sample(spec.seed * 7919 + trial * 31 + 1)
-    rng = _rng(spec, 1000 + trial)
-    return p, _draw_distinct(rng, n_u)
+def _points(spec, n_u, n_w=0):
+    """(params, spectral list, tag) for every point a check runs at.
 
-
-def _symbolic_setup(spec, n_u):
-    """Symbolic (params, spectral list) for exact mode.
-
-    A numeric params override is lifted into the symbolic table as
-    constants (keeping any constraint violations intact, which is what
-    fault-injection tests rely on).
+    Exact mode yields the one symbolic point, tagged "symbolic"; a numeric
+    params override is lifted into its table as constants (keeping any
+    constraint violations intact, which is what fault-injection tests rely
+    on).  Eval mode yields one seeded numeric point per trial, tagged with
+    the trial number.  With n_w > 0 the params carry n_w inhomogeneities,
+    symbolic or seeded to match.
     """
-    if spec.params is not None and spec.params.symbolic:
-        return spec.params, spec.params.spectral(n_u)
-    vt = canonical_vartable(n_u=n_u)
-    if spec.params is not None:
-        p = spec.params.map(lambda v: RatFunc(vt.const(v)))
-    else:
-        p = ParamSet.symbolic_over(vt)
-    return p, [RatFunc(vt.var(f"u{j}")) for j in range(1, n_u + 1)]
+    if spec.mode == "exact":
+        p = spec.params
+        if p is None or not p.symbolic:
+            p = ParamSet.symbolic_point(n_u, n_w, numeric=p)
+        yield p, p.spectral(n_u), "symbolic"
+        return
+    for trial in range(spec.trials):
+        p = _trial_params(spec, trial)
+        if n_w:
+            ws = distinct_rationals(_rng(spec, 2000 + trial), n_w)
+            p = ParamSet.unchecked(p.t, p.a, p.b, p.c, p.d, p.e, p.f, w=ws)
+        yield p, distinct_rationals(_rng(spec, 1000 + trial), n_u), trial
 
 
 def _position_tuples(m, n, rng=None):
@@ -185,22 +182,13 @@ def check_correspondence(spec):
     """Lattice wavefunctions equal the closed-form families, all four kinds."""
     rec = _Recorder()
     positions = _position_tuples(spec.m, spec.n, _rng(spec, 7))
-
-    def run_at(p, us, tag):
+    for p, us, tag in _points(spec, spec.n):
         for wf_kind, fam_kind, flavor in _KIND_TABLE:
             for pos in positions:
                 config = _wrap(flavor, spec.m, pos)
                 rec.compare(wavefunction(wf_kind, config, us, p),
                             family_poly(fam_kind, config, us, p),
                             kind=fam_kind, config=pos, trial=tag)
-
-    if spec.mode == "exact":
-        p, us = _symbolic_setup(spec, spec.n)
-        run_at(p, us, "symbolic")
-    else:
-        for trial in range(spec.trials):
-            p, us = _trial_setup(spec, trial, spec.n)
-            run_at(p, us, trial)
     return rec
 
 
@@ -214,10 +202,9 @@ def check_pairing(spec):
     """
     rec = _Recorder()
     m, n = spec.m, spec.n
-
-    def run_at(p, us, tag):
+    packed = ParticleConfig(m, tuple(range(1, m + 1)))
+    for p, us, tag in _points(spec, m):
         us_first, us_last = us[:m - n], us[m - n:]
-        packed = ParticleConfig(m, tuple(range(1, m + 1)))
         for dual in (False, True):
             h_kind, g_kind = ("Hbar", "Gbar") if dual else ("H", "G")
             wf_h, wf_g = ("phi_dual", "psi_dual") if dual else ("phi", "psi")
@@ -237,14 +224,6 @@ def check_pairing(spec):
                         wavefunction("psi_dual" if dual else "psi",
                                      packed, us, p),
                         route="completeness", dual=dual, trial=tag)
-
-    if spec.mode == "exact":
-        p, us = _symbolic_setup(spec, m)
-        run_at(p, us, "symbolic")
-    else:
-        for trial in range(spec.trials):
-            p, us = _trial_setup(spec, trial, m)
-            run_at(p, us, trial)
     return rec
 
 
@@ -252,11 +231,11 @@ def check_branching(spec):
     """(N+1)-variable family = sum of skew factor times N-variable family."""
     rec = _Recorder()
     m, n = spec.m, spec.n
-
-    def run_at(p, us, tag):
+    ys = _position_tuples(m, n + 1, _rng(spec, 11))
+    for p, us, tag in _points(spec, n + 1):
         us_small, u_new = us[:n], us[n]
         for wf_kind, fam_kind, flavor in _KIND_TABLE:
-            for y in _position_tuples(m, n + 1, _rng(spec, 11)):
+            for y in ys:
                 lhs = family_poly(fam_kind, _wrap(flavor, m, y), us, p)
                 xs = [x for x in combinations(range(1, m + 1), n)
                       if interlaces(y, x)]
@@ -268,14 +247,6 @@ def check_branching(spec):
                         * family_poly(fam_kind, _wrap(flavor, m, x), us_small, p)
                     rhs = term if rhs is None else rhs + term
                 rec.compare(lhs, rhs, kind=fam_kind, y=y, trial=tag)
-
-    if spec.mode == "exact":
-        p, us = _symbolic_setup(spec, n + 1)
-        run_at(p, us, "symbolic")
-    else:
-        for trial in range(spec.trials):
-            p, us = _trial_setup(spec, trial, n + 1)
-            run_at(p, us, trial)
     return rec
 
 
@@ -304,11 +275,11 @@ def check_degeneration(spec):
         run_at(vt, us, RatFunc(vt.var("beta")), "symbolic")
     else:
         vt = canonical_vartable(free_params=("t",))
+        lift = lambda v: RatFunc(vt.const(v))
         for trial in range(spec.trials):
             rng = _rng(spec, 1000 + trial)
-            lift = lambda v: RatFunc(vt.const(v))
-            us = _draw_distinct(rng, n, lift)
-            beta = lift(QQ(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6)))
+            us = [lift(v) for v in distinct_rationals(rng, n)]
+            beta = lift(random_rational(rng))
             run_at(vt, us, beta, trial)
     return rec
 
@@ -322,8 +293,7 @@ def check_mp_algebra(spec):
     """
     rec = _Recorder()
     m, n = spec.m, spec.n
-
-    def run_at(p, us, tag):
+    for p, us, tag in _points(spec, n):
         t, a, b, e, f = p.t, p.a, p.b, p.e, p.f
         for size in range(1, n + 1):
             sub = us[:size]
@@ -364,14 +334,6 @@ def check_mp_algebra(spec):
                         relation="operator-word", config=config.x, trial=tag)
         rec.compare(k_prefactor(m, us, p), k_closed_form(m, us, p),
                     relation="prefactor", trial=tag)
-
-    if spec.mode == "exact":
-        p, us = _symbolic_setup(spec, n)
-        run_at(p, us, "symbolic")
-    else:
-        for trial in range(spec.trials):
-            p, us = _trial_setup(spec, trial, n)
-            run_at(p, us, trial)
     return rec
 
 
@@ -379,7 +341,7 @@ def check_ik(spec):
     """The four defining properties of the packed-boundary partition function."""
     rec = _Recorder()
     for trial in range(spec.trials if spec.mode == "eval" else 1):
-        p = spec.params or ParamSet.sample(spec.seed * 7919 + trial * 31 + 1)
+        p = _trial_params(spec, trial)
         report = check_ik_properties(spec.n, p, seed=spec.seed + trial)
         rec.expect(report.degree, property="degree", trial=trial)
         rec.expect(report.symmetric, property="symmetry", trial=trial)
@@ -392,26 +354,16 @@ def check_ik(spec):
 def check_rll_suite(spec):
     """Intertwining relation at seeded random points (or symbolically)."""
     rec = _Recorder()
-    if spec.mode == "exact":
-        p, us = _symbolic_setup(spec, 2)
-        rec.expect(check_rll(us[0], us[1], p), point="symbolic")
-        return rec
-    for trial in range(spec.trials):
-        p, us = _trial_setup(spec, trial, 2)
-        rec.expect(check_rll(us[0], us[1], p), point=trial)
+    for p, us, tag in _points(spec, 2):
+        rec.expect(check_rll(us[0], us[1], p), point=tag)
     return rec
 
 
 def check_ybe_suite(spec):
     """Yang-Baxter equation at seeded random points (or symbolically)."""
     rec = _Recorder()
-    if spec.mode == "exact":
-        p, us = _symbolic_setup(spec, 2)
-        rec.expect(check_ybe(us[0], us[1], p), point="symbolic")
-        return rec
-    for trial in range(spec.trials):
-        p, us = _trial_setup(spec, trial, 2)
-        rec.expect(check_ybe(us[0], us[1], p), point=trial)
+    for p, us, tag in _points(spec, 2):
+        rec.expect(check_ybe(us[0], us[1], p), point=tag)
     return rec
 
 
@@ -419,31 +371,18 @@ def check_dwbp_triangle(spec):
     """Permutation sum, determinant and lattice brute force all agree."""
     rec = _Recorder()
     n = spec.n
-
-    def lattice_z(us, p):
+    for p, us, tag in _points(spec, n, n_w=n):
+        reference = z_sum(us, p, ws=p.w)
+        rec.compare(reference, z_det_inhom(us, p, ws=p.w),
+                    route="determinant", trial=tag)
+        # the lattice route reads the inhomogeneities from p
         s = StateVector.vacuum(n, p.one())
         for u in us:
             s = apply_row_operator("B", u, s, p)
-        return s.amplitude((1 << n) - 1, p.zero())
-
-    def run_at(p, us, ws, tag):
-        reference = z_sum(us, p, ws=ws)
-        rec.compare(reference, z_det_inhom(us, p, ws=ws),
-                    route="determinant", trial=tag)
-        p_w = ParamSet.unchecked(p.t, p.a, p.b, p.c, p.d, p.e, p.f, w=ws)
-        rec.compare(reference, lattice_z(us, p_w), route="lattice", trial=tag)
+        rec.compare(reference, s.amplitude((1 << n) - 1, p.zero()),
+                    route="lattice", trial=tag)
         rec.compare(z_sum(us, p), z_det_hom(n, us, p),
                     route="homogeneous", trial=tag)
-
-    if spec.mode == "exact":
-        vt = canonical_vartable(n_u=n, n_w=n)
-        p = ParamSet.symbolic_over(vt, n_w=n)
-        run_at(p, p.spectral(n), list(p.w), "symbolic")
-    else:
-        for trial in range(spec.trials):
-            p, us = _trial_setup(spec, trial, n)
-            ws = _draw_distinct(_rng(spec, 2000 + trial), n)
-            run_at(p, us, ws, trial)
     return rec
 
 
@@ -481,7 +420,11 @@ def run_check(spec):
 def _pool_size():
     env = os.environ.get("VERTEXPOLY_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise SpecError("VERTEXPOLY_THREADS must be an integer, "
+                            f"got {env!r}") from None
     return min(8, os.cpu_count() or 1)
 
 

@@ -127,6 +127,13 @@ def test_verify_failure_exit_three(monkeypatch, capsys):
     assert json.loads(out.strip())["pass"] is False
 
 
+def test_non_integer_thread_count_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("VERTEXPOLY_THREADS", "abc")
+    code, out, err = run(capsys, "verify", "rll")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "VERTEXPOLY_THREADS" in err
+
+
 def test_identical_invocations_byte_identical_modulo_timing(capsys):
     argv = ("verify", "correspondence", "--m", "4", "--n", "2",
             "--trials", "2", "--seed", "9")

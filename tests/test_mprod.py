@@ -113,3 +113,15 @@ def test_prefactor_closed_form_symbolic():
     p = ParamSet.symbolic_over(vt)
     us = p.spectral(2)
     assert k_prefactor(4, us, p) == k_closed_form(4, us, p)
+
+
+def test_mat_mul_all_zero_row_gives_exact_zero(num):
+    vt = canonical_vartable(n_u=1)
+    sym = ParamSet.symbolic_over(vt)
+    for p in (num, sym):
+        zero, one = p.zero(), p.one()
+        x = [[zero, zero], [one, zero]]
+        y = [[one + one, one], [one, one + one]]
+        prod = mat_mul(x, y)
+        assert prod == [[zero, zero], [one + one, one]]
+        assert all(type(v) is type(zero) and v == 0 for v in prod[0])

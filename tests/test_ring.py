@@ -8,8 +8,9 @@ import pytest
 
 from vertexpoly.ring import (QQ, MultiPoly, NonExactDivision, RatFunc,
                              RingError, VarTable, canonical_vartable,
-                             determinant, exact_divide, poly_from_json,
-                             poly_to_json, random_point, ratfunc_from_json,
+                             determinant, distinct_rationals, exact_divide,
+                             poly_from_json, poly_to_json, random_point,
+                             random_rational, ratfunc_from_json,
                              ratfunc_to_json, try_exact_divide)
 
 
@@ -174,6 +175,18 @@ def test_random_point_is_deterministic_and_avoids_zeros(vt):
     p2 = random_point(seed=5, vartable=vt, avoid=[x])
     assert p1 == p2
     assert x.evaluate(p1) != 0
+    # pinned: seeded values stay the same across versions
+    assert p1 == {"x": QQ(326580, 133927), "y": QQ(777821, 375952),
+                  "z": QQ(833821, 723986)}
+
+
+def test_distinct_rationals_are_seeded_and_pairwise_distinct():
+    draws = distinct_rationals(random.Random(3), 40)
+    assert draws == distinct_rationals(random.Random(3), 40)
+    assert len(draws) == len(set(draws)) == 40
+    assert all(isinstance(v, QQ) and v > 0 for v in draws)
+    # the first draw is the single draw of the same stream
+    assert draws[0] == random_rational(random.Random(3))
 
 
 def test_canonical_vartable_ordering():

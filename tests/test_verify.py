@@ -77,6 +77,15 @@ def test_fault_injection_breaks_rll():
     assert not report.passed
 
 
+def test_fault_injection_breaks_dwbp_in_both_modes():
+    p = ParamSet.sample(13)
+    bad = ParamSet.unchecked(p.t, p.a, p.b, p.c, p.d, p.e, p.f + 1)
+    for mode in ("exact", "eval"):
+        report = run_check(CheckSpec("dwbp", n=2, mode=mode, seed=1,
+                                     trials=1, params=bad))
+        assert not report.passed, mode
+
+
 def test_check_names_cover_the_registry():
     assert set(CHECK_NAMES) >= {"correspondence", "pairing", "branching",
                                 "degeneration", "mp-algebra", "ik-properties",
