@@ -184,6 +184,14 @@ GOLDEN = [
      "6276727c8537c9759119fe2cdf7bff0f5f1b11c54ce78b7bbfaf307fbc362d36", 843),
     ("compute dwbp-det --kind inhom --n 3 --seed 3",
      "aaae12d357222069355263cf6ca5f3983b1c2a9ac21ad4f2ce5b90ba3aa0e545", 430),
+    ("compute dwbp-det --kind hom --n 4 --seed 2",
+     "5d561f700c246bffa1334d696ee834cd241ae948152396e07d43480b2d3089dc", 633),
+    ("compute dwbp-det --kind dual-hom --n 4 --seed 9",
+     "8503a96bc5bf88c1a3484e03793f9831bdf37ae45272b0f3ecf1b010a4164c9b", 641),
+    ("compute dwbp-det --kind dual-inhom --n 4 --seed 6 --format json",
+     "194ae8dff6db28e78122e576b2f545bfa1be55c229dc6de80990a1f1819a13a3", 864),
+    ("compute dwbp-det --kind inhom --n 2 --symbolic",
+     "cf7ddb054af7c02c8e3add05e2701b665e7e05062a2a2bdbe5a2e158f37d36bd", 541),
     ("compute grothendieck --x 4,2,1 --seed 8",
      "4f9ff515c6841d566588a24df52886035d08931883bf3f9bdb51f4234cd84cca", 151),
     ("sample-params --seed 3",
