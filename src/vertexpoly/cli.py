@@ -204,8 +204,10 @@ def _cmd_compute(args):
             raise UsageError("skew requires --m, --x (larger configuration) "
                              "and --xbar (smaller configuration)")
         for pos in (x, xbar):
-            if any(not 1 <= v <= args.m for v in pos):
-                raise UsageError(f"positions {pos} out of range 1..{args.m}")
+            try:
+                ParticleConfig(args.m, pos)
+            except RingError as exc:
+                raise UsageError(str(exc))
         if len(x) != len(xbar) + 1:
             raise UsageError("the larger configuration must have exactly "
                              "one more entry than the smaller")
@@ -238,7 +240,7 @@ def _setup(args, n_u, n_w=0):
     for a compute invocation."""
     params = _load_params(args.params) if args.params else None
     if args.symbolic:
-        p = ParamSet.symbolic_point(n_u, n_w, numeric=params)
+        p = ParamSet.symbolic_canonical(n_u, n_w, numeric=params)
         return p, p.spectral(n_u), p.w
     p = params or ParamSet.sample(args.seed)
     ws = _numeric_spectral(args.seed + 7, n_w) if n_w else None

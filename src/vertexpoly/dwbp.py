@@ -17,7 +17,6 @@ import random
 from dataclasses import dataclass
 from itertools import permutations
 
-from .params import ParamSet
 from .ring import (RatFunc, RingError, VarTable, determinant,
                    distinct_rationals, random_rational)
 
@@ -73,7 +72,7 @@ def z_sum(us, p, ws=None):
     return prefactor * total
 
 
-def z_det_inhom(us, p, ws=None, dual=False):
+def z_det_inhom(us, p, ws, dual=False):
     """Izergin-Korepin determinant form, inhomogeneous.
 
     dual=False:  prefactor (1-t)c u_j and kernel 1/((a u_j + b w_k)(e u_j + f w_k));
@@ -82,8 +81,6 @@ def z_det_inhom(us, p, ws=None, dual=False):
     """
     n = len(us)
     one = p.one()
-    if ws is None:
-        ws = [one] * n
     _require_distinct(us, "spectral parameters")
     _require_distinct(ws, "inhomogeneities")
     if len(ws) != n:
@@ -177,8 +174,7 @@ def check_ik_properties(n, p, seed, z_fn=z_sum):
     # (1) degree in w_N: lift everything to RatFunc over the single symbol.
     vt = VarTable(["wN"])
     lift = lambda v: RatFunc(vt.const(v))
-    p_sym = ParamSet.unchecked(*(lift(getattr(p, nm))
-                                 for nm in ("t", "a", "b", "c", "d", "e", "f")))
+    p_sym = p.map(lift)
     z_wn = z_fn([lift(u) for u in us], p_sym,
                 ws=[lift(w) for w in ws[:-1]] + [RatFunc(vt.var("wN"))])
     degree_ok = (z_wn.den.is_constant()

@@ -30,7 +30,7 @@ class ParamSet:
 
     __slots__ = ("t", "a", "b", "c", "d", "e", "f", "w", "symbolic")
 
-    def __init__(self, t, a, b, c, d, w=None, *, allow_degenerate=False):
+    def __init__(self, t, a, b, c, d, w=None):
         self.t, self.a, self.b, self.c, self.d = t, a, b, c, d
         try:
             self.f = -(c * d) / a
@@ -39,7 +39,7 @@ class ParamSet:
             raise ParamError("parameters a and b must be nonzero")
         self.w = list(w) if w is not None else None
         self.symbolic = isinstance(t, RatFunc)
-        self._validate(allow_degenerate)
+        self._validate()
 
     @classmethod
     def unchecked(cls, t, a, b, c, d, e, f, w=None):
@@ -55,18 +55,16 @@ class ParamSet:
         obj.symbolic = isinstance(t, RatFunc)
         return obj
 
-    def _validate(self, allow_degenerate):
+    def _validate(self):
         if self.c * self.d + self.a * self.f != 0:
             raise ParamError("constraint cd + af = 0 violated")
         if self.t * self.c * self.d + self.b * self.e != 0:
             raise ParamError("constraint t*cd + be = 0 violated")
-        if allow_degenerate:
-            return
         for name in ("t", "a", "b", "c", "d", "e", "f"):
             v = getattr(self, name)
             if is_zero(v):
                 raise ParamError(f"parameter {name} must be nonzero")
-        if self.t == _one_like(self.t):
+        if self.t == 1:
             raise ParamError("t = 1 is excluded")
 
     # -- constructors ---------------------------------------------------
@@ -100,13 +98,7 @@ class ParamSet:
         return cls(sym["t"], sym["a"], sym["b"], sym["c"], sym["d"], w=w)
 
     @classmethod
-    def symbolic_canonical(cls, n_u=0, n_w=0, beta=False):
-        """Symbolic parameters over a fresh canonical variable table."""
-        vt = canonical_vartable(n_u=n_u, n_w=n_w, beta=beta)
-        return cls.symbolic_over(vt, n_w=n_w)
-
-    @classmethod
-    def symbolic_point(cls, n_u, n_w=0, numeric=None):
+    def symbolic_canonical(cls, n_u=0, n_w=0, numeric=None):
         """Parameters over the canonical table with u1..u{n_u}, w1..w{n_w}.
 
         t, a, b, c, d are free symbols, or the values of the numeric
@@ -114,9 +106,9 @@ class ParamSet:
         intact, which fault injection relies on).  With n_w > 0 the
         inhomogeneities are the symbols w1..w{n_w}.
         """
-        if numeric is None:
-            return cls.symbolic_canonical(n_u=n_u, n_w=n_w)
         vt = canonical_vartable(n_u=n_u, n_w=n_w)
+        if numeric is None:
+            return cls.symbolic_over(vt, n_w=n_w)
         p = numeric.map(lambda v: RatFunc(vt.const(v)))
         if n_w:
             p.w = [RatFunc(vt.var(f"w{j}")) for j in range(1, n_w + 1)]
@@ -135,14 +127,6 @@ class ParamSet:
 
     def one(self):
         return RatFunc(self.vars.one()) if self.symbolic else QQ(1)
-
-    def lift(self, value):
-        """Coerce a rational into this ParamSet's scalar mode."""
-        if self.symbolic:
-            if isinstance(value, RatFunc):
-                return value
-            return RatFunc(self.vars.const(value))
-        return QQ(value)
 
     def spectral(self, n):
         """The symbolic spectral parameters u1..un (symbolic mode only)."""
@@ -165,7 +149,3 @@ class ParamSet:
         kind = "symbolic" if self.symbolic else "numeric"
         return f"ParamSet<{kind}>(t={self.t}, a={self.a}, b={self.b}, " \
                f"c={self.c}, d={self.d}, e={self.e}, f={self.f})"
-
-
-def _one_like(v):
-    return RatFunc(v.vars.one()) if isinstance(v, RatFunc) else QQ(1)

@@ -41,7 +41,6 @@ attempted; the normative equality test is cross-multiplication.
 
 from __future__ import annotations
 
-import json
 import numbers
 import random
 from collections.abc import Mapping
@@ -360,12 +359,6 @@ class MultiPoly:
             raise RingError("not a constant polynomial")
         return QQ(self._n, self._d)
 
-    def total_degree(self):
-        """Total degree; -1 for the zero polynomial."""
-        if not self._e:
-            return -1
-        return self._e[0] >> self._lay.deg_shift
-
     def degree_in(self, name):
         if not self._e:
             return -1
@@ -503,39 +496,26 @@ class MultiPoly:
         return total * QQ(self._n, self._d)
 
     def substitute(self, bindings):
-        """Simultaneously substitute variables by RatFunc/rational values.
+        """Simultaneously substitute variables by rational values.
 
         Unbound variables persist.  Returns a RatFunc over the same table.
         """
         vals = {}
         for name, val in bindings.items():
-            i = self.vars.index(name)
-            if isinstance(val, MultiPoly):
-                val = RatFunc(val, val.vars.one())
-            elif _is_rational(val):
-                val = RatFunc(self.vars.const(val), self.vars.one())
-            elif not isinstance(val, RatFunc):
+            if not _is_rational(val):
                 raise RingError(f"cannot substitute value {val!r}")
-            if val.num.vars != self.vars:
-                raise RingError("variable-table mismatch in substitution")
-            vals[i] = val
-        lay = self._lay
-        one = RatFunc(self.vars.one(), self.vars.one())
-        total = RatFunc(self.vars.zero(), self.vars.one())
+            vals[self.vars.index(name)] = QQ(val)
+        unpack = self._lay.unpack
+        terms = {}
         for e, c in zip(self._e, self._c):
-            residual = [0] * len(lay.shifts)
-            term = one
-            for i, k in enumerate(lay.unpack(e)):
-                if not k:
-                    continue
-                if i in vals:
-                    term = term * vals[i] ** k
-                else:
-                    residual[i] = k
-            mono = _poly(self.vars, lay, [lay.pack(residual)], [1],
-                         *_coeff(self, c))
-            total = total + term * RatFunc(mono, self.vars.one())
-        return total
+            exps = list(unpack(e))
+            coeff = QQ(*_coeff(self, c))
+            for i, v in vals.items():
+                coeff *= v ** exps[i]
+                exps[i] = 0
+            key = tuple(exps)
+            terms[key] = terms.get(key, 0) + coeff
+        return RatFunc(MultiPoly(self.vars, terms))
 
     # -- rendering ------------------------------------------------------
 
@@ -696,15 +676,7 @@ class RatFunc:
             self.num = num
             self.den = num.vars.one()
             return
-        num, den = _cancel_monomial_content(num, den)
-        if not den.is_constant():
-            q = try_exact_divide(num, den)
-            if q is not None:
-                num, den = q, num.vars.one()
-            else:
-                q = try_exact_divide(den, num)
-                if q is not None and not num.is_constant():
-                    num, den = num.vars.one(), q
+        num, den = _cross_cancel(*_cancel_monomial_content(num, den))
         lc_n, lc_d = den._c[0] * den._n, den._d
         if lc_n != lc_d:
             num = _scaled(num, lc_d, lc_n)
@@ -884,12 +856,15 @@ def _cross_cancel(num, den):
 
 
 def determinant(matrix):
-    """Determinant of a square matrix of scalars.
+    """Determinant of a square matrix of scalars, division-free.
 
-    RatFunc entries: fraction-free Bareiss elimination after clearing row
-    denominators, so intermediate values stay polynomial.  Rational entries:
-    ordinary Gaussian elimination.  The 0x0 determinant is 1 (empty product).
-    Mixing scalar modes is an error.
+    Laplace expansion with dynamic programming over column subsets (minors
+    of row prefixes).  RatFunc rows are first cleared to a common
+    denominator, so the expansion runs on polynomials and avoids the exact
+    polynomial divisions of fraction-free elimination, which dominate the
+    cost on large multivariate entries.  Rational entries expand as they
+    are.  The 0x0 determinant is 1 (empty product).  Mixing scalar modes is
+    an error.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
@@ -898,33 +873,26 @@ def determinant(matrix):
         return QQ(1)
     flat = [x for row in matrix for x in row]
     if all(isinstance(x, RatFunc) for x in flat):
-        return _det_exact(matrix)
+        vt = matrix[0][0].vars
+        one = vt.one()
+        rows = []
+        total_den = one
+        for row in matrix:
+            d = one
+            for x in row:
+                if try_exact_divide(d, x.den) is None:
+                    d = d * x.den
+            rows.append([x.num * exact_divide(d, x.den) for x in row])
+            total_den = total_den * d
+        return RatFunc(_laplace(rows, vt.zero()), total_den)
     if all(_is_rational(x) for x in flat):
-        return _det_eval([[QQ(x) for x in row] for row in matrix])
+        return _laplace([[QQ(x) for x in row] for row in matrix], QQ(0))
     raise RingError("determinant entries mix scalar modes")
 
 
-def _det_exact(matrix):
-    """Exact symbolic determinant, division-free.
-
-    Each row is first cleared to a common denominator, then the polynomial
-    determinant is computed by Laplace expansion with dynamic programming
-    over column subsets (minors of row prefixes).  This avoids the exact
-    polynomial divisions of fraction-free elimination, which dominate the
-    cost on large multivariate entries.
-    """
-    n = len(matrix)
-    vt = matrix[0][0].vars
-    one = vt.one()
-    rows = []
-    total_den = one
-    for row in matrix:
-        d = one
-        for x in row:
-            if try_exact_divide(d, x.den) is None:
-                d = d * x.den
-        rows.append([x.num * exact_divide(d, x.den) for x in row])
-        total_den = total_den * d
+def _laplace(rows, zero):
+    """Determinant of `rows`; `zero` stands for a minor with no terms."""
+    n = len(rows)
     minors = {(j,): rows[0][j] for j in range(n)}
     for r in range(1, n):
         next_minors = {}
@@ -932,35 +900,15 @@ def _det_exact(matrix):
             acc = None
             for idx, j in enumerate(cols):
                 entry = rows[r][j]
-                if entry.is_zero():
+                if is_zero(entry):
                     continue
                 term = minors[cols[:idx] + cols[idx + 1:]] * entry
                 if (r + idx) % 2:
                     term = -term
                 acc = term if acc is None else acc + term
-            next_minors[cols] = vt.zero() if acc is None else acc
+            next_minors[cols] = zero if acc is None else acc
         minors = next_minors
-    return RatFunc(minors[tuple(range(n))], total_den)
-
-
-def _det_eval(rows):
-    n = len(rows)
-    det = QQ(1)
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if rows[i][k] != 0), None)
-        if pivot_row is None:
-            return QQ(0)
-        if pivot_row != k:
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-            det = -det
-        pivot = rows[k][k]
-        det *= pivot
-        for i in range(k + 1, n):
-            factor = rows[i][k] / pivot
-            if factor == 0:
-                continue
-            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[k])]
-    return det
+    return minors[tuple(range(n))]
 
 
 # -- randomized evaluation points ---------------------------------------
@@ -1029,11 +977,3 @@ def ratfunc_to_json(r):
 def ratfunc_from_json(obj):
     return RatFunc(poly_from_json(obj["num"]), poly_from_json(obj["den"]))
 
-
-def dumps(value):
-    """JSON text for a MultiPoly or RatFunc."""
-    if isinstance(value, MultiPoly):
-        return json.dumps(poly_to_json(value))
-    if isinstance(value, RatFunc):
-        return json.dumps(ratfunc_to_json(value))
-    raise RingError(f"cannot serialize {type(value).__name__}")

@@ -77,15 +77,14 @@ _FAMILY_ROWS = {
 }
 
 
-def family_poly(kind, config, us, p, m=None):
+def family_poly(kind, config, us, p):
     """One of the four symmetric polynomial families, by its closed formula.
 
-    kind 'G'/'Gbar' take a ParticleConfig, 'H'/'Hbar' a HoleConfig; m
-    defaults to the configuration's lattice length.  The spectral
-    parameters must be pairwise distinct.
+    kind 'G'/'Gbar' take a ParticleConfig, 'H'/'Hbar' a HoleConfig; m is
+    the configuration's lattice length.  The spectral parameters must be
+    pairwise distinct.
     """
-    if m is None:
-        m = config.m
+    m = config.m
     n = len(us)
     if len(config) != n:
         raise RingError("config size must match the number of spectral parameters")

@@ -26,9 +26,8 @@ from itertools import combinations
 from math import comb
 
 from .dwbp import check_ik_properties, z_det_hom, z_det_inhom, z_sum
-from .lattice import (HoleConfig, ParticleConfig, StateVector,
-                      all_particle_configs, apply_row_operator, check_rll,
-                      check_ybe, wavefunction)
+from .lattice import (HoleConfig, ParticleConfig, all_particle_configs,
+                      check_rll, check_ybe, wavefunction)
 from .mprod import (k_closed_form, k_prefactor, mat_eq, mat_mul, mat_scale,
                     mp_build, raising_parts, trace_wavefunction)
 from .params import ParamSet
@@ -64,6 +63,7 @@ _SIZE_RULES = {
     "degeneration": (lambda m, n: 0 <= n <= m, "0 <= n <= m"),
     "mp-algebra": (lambda m, n: 1 <= n <= m, "1 <= n <= m"),
     "ik-properties": (lambda m, n: n >= 2, "n >= 2"),
+    "dwbp": (lambda m, n: n >= 1, "n >= 1"),
 }
 
 
@@ -149,7 +149,7 @@ def _points(spec, n_u, n_w=0):
     if spec.mode == "exact":
         p = spec.params
         if p is None or not p.symbolic:
-            p = ParamSet.symbolic_point(n_u, n_w, numeric=p)
+            p = ParamSet.symbolic_canonical(n_u, n_w, numeric=p)
         yield p, p.spectral(n_u), "symbolic"
         return
     for trial in range(spec.trials):
@@ -160,10 +160,9 @@ def _points(spec, n_u, n_w=0):
         yield p, distinct_rationals(_rng(spec, 1000 + trial), n_u), trial
 
 
-def _position_tuples(m, n, rng=None):
+def _position_tuples(m, n, rng):
     """All n-subsets of 1..m, or a seeded sample when there are too many."""
-    total = comb(m, n)
-    if total <= _CONFIG_SAMPLE_LIMIT or rng is None:
+    if comb(m, n) <= _CONFIG_SAMPLE_LIMIT:
         return list(combinations(range(1, m + 1), n))
     seen = set()
     while len(seen) < _CONFIG_SAMPLE_LIMIT:
@@ -376,10 +375,8 @@ def check_dwbp_triangle(spec):
         rec.compare(reference, z_det_inhom(us, p, ws=p.w),
                     route="determinant", trial=tag)
         # the lattice route reads the inhomogeneities from p
-        s = StateVector.vacuum(n, p.one())
-        for u in us:
-            s = apply_row_operator("B", u, s, p)
-        rec.compare(reference, s.amplitude((1 << n) - 1, p.zero()),
+        packed = ParticleConfig(n, tuple(range(1, n + 1)))
+        rec.compare(reference, wavefunction("psi", packed, us, p),
                     route="lattice", trial=tag)
         rec.compare(z_sum(us, p), z_det_hom(n, us, p),
                     route="homogeneous", trial=tag)

@@ -220,6 +220,9 @@ def test_golden_output(capsys, argv, sha256, size):
     "verify all --mode eval --trials 0",
     "compute grothendieck --x 1,3",
     "verify ik-properties --n 1",
+    "verify dwbp --n 0",
+    "verify dwbp --n -1",
+    "compute skew --m 5 --x 3,1,5 --xbar 2,4",
 ])
 def test_invalid_sizes_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv.split())

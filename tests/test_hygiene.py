@@ -1,0 +1,51 @@
+"""Source hygiene: no module of the package imports a name it never uses.
+
+Each `src/vertexpoly/*.py` except `__init__.py` (whose imports are the
+public re-exports) is parsed with `ast`.  A name bound by a module-level
+import, including one inside a module-level try block, must be read
+somewhere in the module or be listed in its `__all__`.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "vertexpoly"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _module_imports(tree):
+    """(bound name, line) for every module-level import."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Try):
+            stack.extend(node.body + node.orelse + node.finalbody)
+            for handler in node.handlers:
+                stack.extend(handler.body)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name.split(".")[0]), node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield (alias.asname or alias.name), node.lineno
+
+
+def _exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_module_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= _exported(tree)
+    unused = [f"{path.name}:{line} {name}"
+              for name, line in _module_imports(tree) if name not in used]
+    assert not unused, "unused imports: " + ", ".join(unused)

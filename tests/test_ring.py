@@ -62,6 +62,23 @@ def test_evaluation_is_a_ring_homomorphism(vt):
         assert (p * q).evaluate(point) == p.evaluate(point) * q.evaluate(point)
 
 
+def test_partial_substitution_agrees_with_evaluation(vt):
+    rng = random.Random(17)
+    point = {"x": QQ(2, 3), "y": QQ(-5), "z": QQ(7, 11)}
+    for _ in range(10):
+        p = random_poly(vt, rng)
+        q = random_poly(vt, rng) + vt.one()
+        partial = p.substitute({"x": point["x"], "z": 0})
+        assert isinstance(partial, RatFunc) and partial.is_poly()
+        assert partial.evaluate(point) == p.evaluate(dict(point, z=0))
+        if q.substitute({"x": point["x"]}).is_zero():
+            continue
+        r = RatFunc(p, q).substitute({"x": point["x"]})
+        assert r.evaluate(point) == RatFunc(p, q).evaluate(point)
+    with pytest.raises(RingError):
+        vt.var("x").substitute({"y": RatFunc(vt.var("z"))})
+
+
 def test_exact_division_roundtrip(vt):
     rng = random.Random(29)
     for _ in range(20):

@@ -185,8 +185,8 @@ def test_json_round_trip(p, n, d):
 # -- determinants -------------------------------------------------------
 
 
-def square_matrices(entries):
-    return st.integers(1, 3).flatmap(
+def square_matrices(entries, max_n=3):
+    return st.integers(1, max_n).flatmap(
         lambda n: st.lists(st.lists(entries, min_size=n, max_size=n),
                            min_size=n, max_size=n))
 
@@ -205,7 +205,7 @@ def test_symbolic_determinant_matches_sympy(cells):
 
 
 @ORACLE
-@given(square_matrices(st.one_of(st.just(QQ(0)), coeffs)))
+@given(square_matrices(st.one_of(st.just(QQ(0)), coeffs), max_n=5))
 def test_rational_determinant_matches_sympy(cells):
     theirs = sympy.Matrix([[sympy.Rational(int(c.numerator),
                                            int(c.denominator)) for c in row]
