@@ -1,5 +1,6 @@
 """Identity harness: check plumbing, reproducibility, fault injection."""
 
+import hashlib
 import json
 
 import pytest
@@ -100,3 +101,38 @@ def test_check_that_compares_nothing_fails(monkeypatch):
     assert not report.passed
     assert report.breakdown["comparisons"] == 0
     assert report.witness == {"reason": "no comparisons made"}
+
+
+# sha256 and length of the default suite's JSONL (every ms set to 0) and
+# the per-check comparison counts, captured before the lattice sweeps were
+# shared; the fault-injected runs pin every witness byte as well
+SUITE_PINS = [
+    (dict(m=3, n=2, mode="exact"), False,
+     "5bb27a6e7779c7913c79624d785cf845d9fd99c486d0007cb077f1221196085c", 551,
+     [12, 4, 24, 3, 14, 5, 3, 1, 1]),
+    (dict(m=3, n=2, mode="exact"), True,
+     "6be09d035e57367c771df4c808caa921b6158a9b9c116325dc98e13c654c69cb",
+     19251, [12, 4, 24, 3, 14, 5, 3, 1, 1]),
+    (dict(m=4, n=2, mode="eval", trials=2), False,
+     "5bb27a6e7779c7913c79624d785cf845d9fd99c486d0007cb077f1221196085c", 551,
+     [48, 8, 96, 12, 34, 10, 6, 2, 2]),
+    (dict(m=4, n=2, mode="eval", trials=2), True,
+     "7af768655a1f5cad333740d625d53b6e747f30980ed4817d7c7db128edad650d", 3826,
+     [48, 8, 96, 12, 34, 10, 6, 2, 2]),
+]
+
+
+@pytest.mark.parametrize("kw, faulty, sha256, size, counts", SUITE_PINS,
+                         ids=[f"{k['mode']}-{'fault' if f else 'clean'}"
+                              for k, f, *_ in SUITE_PINS])
+def test_default_suite_output_is_pinned(kw, faulty, sha256, size, counts):
+    params = None
+    if faulty:
+        p = ParamSet.sample(13)
+        params = ParamSet.unchecked(p.t, p.a, p.b, p.c, p.d, p.e, p.f + 1)
+    reports = [run_check(s) for s in default_suite(params=params, **kw)]
+    assert [r.breakdown["comparisons"] for r in reports] == counts
+    for r in reports:
+        r.ms = 0
+    data = reports_to_jsonl(reports).encode()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == (sha256, size)
