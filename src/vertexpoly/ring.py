@@ -859,12 +859,12 @@ def determinant(matrix):
     """Determinant of a square matrix of scalars, division-free.
 
     Laplace expansion with dynamic programming over column subsets (minors
-    of row prefixes).  RatFunc rows are first cleared to a common
-    denominator, so the expansion runs on polynomials and avoids the exact
-    polynomial divisions of fraction-free elimination, which dominate the
-    cost on large multivariate entries.  Rational entries expand as they
-    are.  The 0x0 determinant is 1 (empty product).  Mixing scalar modes is
-    an error.
+    of row prefixes).  Each row is first cleared to a common denominator:
+    RatFunc rows to polynomials, which avoids the exact polynomial
+    divisions of fraction-free elimination that dominate the cost on large
+    multivariate entries, and rational rows to integers by the lcm of their
+    denominators, so the expansion runs on ints.  The 0x0 determinant is 1
+    (empty product).  Mixing scalar modes is an error.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
@@ -886,7 +886,14 @@ def determinant(matrix):
             total_den = total_den * d
         return RatFunc(_laplace(rows, vt.zero()), total_den)
     if all(_is_rational(x) for x in flat):
-        return _laplace([[QQ(x) for x in row] for row in matrix], QQ(0))
+        rows = []
+        total_den = 1
+        for row in matrix:
+            ratios = [_ratio(x) for x in row]
+            d = lcm(*(den for _, den in ratios))
+            rows.append([num * (d // den) for num, den in ratios])
+            total_den *= d
+        return QQ(_laplace(rows, 0), total_den)
     raise RingError("determinant entries mix scalar modes")
 
 
