@@ -19,7 +19,7 @@ from .dwbp import check_ik_properties, z_det_hom, z_det_inhom, z_sum
 from .lattice import (HoleConfig, ParticleConfig, StateVector,
                       all_particle_configs, apply_row_operator, check_rll,
                       check_ybe, l_weight, matrix_element, r_weight,
-                      wavefunction)
+                      wavefunction, wavefunctions)
 from .mprod import (k_closed_form, k_prefactor, mp_build, mp_diagonalized,
                     trace_wavefunction)
 from .params import ParamError, ParamSet

@@ -8,6 +8,20 @@ sweep over sites carrying the auxiliary index, with the boundary auxiliary
 states selecting which of the four operators (A, B, C, D) is applied.  The
 full 2^M x 2^M operator matrix is never materialized.
 
+Each application first builds a small table of the nonzero local weights:
+one for a homogeneous lattice, one per site with inhomogeneities.  The
+sweep only looks weights up, adding products in the same order as a
+direct evaluation, so every result is unchanged.  With `transpose=True`
+the same sweep applies an operator to a covector, <s|X(u): the known bits
+are the output bits and the sum runs over input bits.
+
+`wavefunctions` reads every amplitude of one kind from one sweep: psi and
+phi_dual from the states B(u_N)...B(u_1)|vacuum> and C(u_N)...C(u_1)|packed>,
+phi and psi_dual from the covectors <packed|B(u_1)...B(u_N) and
+<vacuum|C(u_1)...C(u_N).  `wavefunction` computes one amplitude; for the
+covector kinds it applies the operators to the configuration's basis state
+instead, which for a single amplitude is far cheaper than a covector sweep.
+
 All functions are pure and scalar-mode generic: they work identically on
 big-rational scalars (fast numeric evaluation) and RatFunc scalars (exact
 symbolic computation).
@@ -16,7 +30,7 @@ symbolic computation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from .mprod import mat_eq, mat_mul
 from .ring import RingError, is_zero
@@ -29,6 +43,7 @@ __all__ = [
     "r_weight",
     "apply_row_operator",
     "wavefunction",
+    "wavefunctions",
     "matrix_element",
     "check_rll",
     "check_ybe",
@@ -177,43 +192,93 @@ def r_weight(alpha, beta, gamma, delta, u, p):
 _BOUNDARY = {"A": (0, 0), "B": (1, 0), "C": (0, 1), "D": (1, 1)}
 
 
-def apply_row_operator(kind, u, s, p):
+def _site_weights(u, w, p, transpose):
+    """The nonzero local weights of one site, grouped for the sweep.
+
+    Maps (aux, known) to ((free, gamma, weight), ...) in increasing free
+    bit, where the known bit is beta and the free bit delta, or the other
+    way round under `transpose`.
+    """
+    steps = {(aux, known): [] for aux in (0, 1) for known in (0, 1)}
+    for aux, beta, delta in product((0, 1), repeat=3):
+        gamma = aux + beta - delta
+        if gamma not in (0, 1):
+            continue
+        wgt = l_weight(aux, beta, gamma, delta, u, w, p)
+        if is_zero(wgt):
+            continue
+        if transpose:
+            steps[aux, delta].append((beta, gamma, wgt))
+        else:
+            steps[aux, beta].append((delta, gamma, wgt))
+    return steps
+
+
+def apply_row_operator(kind, u, s, p, transpose=False):
     """Apply the row operator A(u), B(u), C(u) or D(u) to a state vector.
 
     Sweeps sites 1..M carrying the two-dimensional auxiliary index; the
     boundary pair (auxiliary in, auxiliary out) is (0,0) for A, (1,0) for B,
     (0,1) for C and (1,1) for D, matching the monodromy element conventions.
+    With `transpose`, s is read as a covector and the result is <s|X(u):
+    the bits of s are the output bits and the sum runs over input bits,
+    with the auxiliary line still running from site 1 to M.
     """
+    if kind not in _BOUNDARY:
+        raise RingError(f"unknown row operator {kind!r}")
     aux_in, aux_out = _BOUNDARY[kind]
     m = s.m
-    if p.w is not None and len(p.w) != m:
+    if p.w is None:
+        sites = [_site_weights(u, p.one(), p, transpose)] * m
+    elif len(p.w) != m:
         raise RingError("inhomogeneity list length does not match lattice")
+    else:
+        sites = [_site_weights(u, w, p, transpose) for w in p.w]
     out = {}
     for bits, amp in s.amps.items():
-        # frontier: (aux, partial output bits) -> amplitude
+        # frontier: (aux, partial free bits) -> amplitude
         frontier = {(aux_in, 0): amp}
-        for j in range(1, m + 1):
-            beta = (bits >> (j - 1)) & 1
-            wj = p.w_at(j)
+        for j, steps in enumerate(sites):
+            known = (bits >> j) & 1
             nxt = {}
-            for (aux, obits), a in frontier.items():
-                for delta in (0, 1):
-                    gamma = aux + beta - delta
-                    if gamma not in (0, 1):
-                        continue
-                    wgt = l_weight(aux, beta, gamma, delta, u, wj, p)
-                    if is_zero(wgt):
-                        continue
-                    key = (gamma, obits | (delta << (j - 1)))
+            for (aux, fbits), a in frontier.items():
+                for free, gamma, wgt in steps[aux, known]:
+                    key = (gamma, fbits | (free << j))
                     acc = nxt.get(key)
                     nxt[key] = a * wgt if acc is None else acc + a * wgt
             frontier = nxt
-        for (aux, obits), a in frontier.items():
+        for (aux, fbits), a in frontier.items():
             if aux != aux_out:
                 continue
-            acc = out.get(obits)
-            out[obits] = a if acc is None else acc + a
+            acc = out.get(fbits)
+            out[fbits] = a if acc is None else acc + a
     return StateVector(m, out)
+
+
+# wavefunction kind -> (row operator, starts packed, covector, config class):
+# the forward kinds apply the operators to the start state, the covector
+# kinds apply them to the start covector
+_WAVE_KINDS = {
+    "psi": ("B", False, False, ParticleConfig),
+    "psi_dual": ("C", False, True, ParticleConfig),
+    "phi": ("B", True, True, HoleConfig),
+    "phi_dual": ("C", True, False, HoleConfig),
+}
+
+
+def _wave_kind(kind):
+    try:
+        return _WAVE_KINDS[kind]
+    except KeyError:
+        raise RingError(f"unknown wavefunction kind {kind!r}") from None
+
+
+def _sweep(op, bits, us, m, p, transpose=False):
+    """The basis state `bits` with op(u) applied for each u in turn."""
+    s = StateVector.basis(m, bits, p.one())
+    for u in us:
+        s = apply_row_operator(op, u, s, p, transpose=transpose)
+    return s
 
 
 def wavefunction(kind, config, us, p):
@@ -224,33 +289,41 @@ def wavefunction(kind, config, us, p):
     kind 'phi':      <packed| B(u_1)...B(u_N) |xbar_1..xbar_N>
     kind 'phi_dual': <xbar_1..xbar_N| C(u_N)...C(u_1) |packed>
 
+    psi and psi_dual take a ParticleConfig, phi and phi_dual a HoleConfig.
     Computed purely by operator application; no closed formula is used.
     """
-    m = config.m
+    op, packed, covector, flavour = _wave_kind(kind)
+    if not isinstance(config, flavour):
+        raise RingError(f"kind {kind} requires a {flavour.__name__}")
     if len(config) != len(us):
         raise RingError("config size must match the number of spectral parameters")
-    one = p.one()
-    if kind == "psi":
-        s = StateVector.vacuum(m, one)
-        for u in us:
-            s = apply_row_operator("B", u, s, p)
-        return s.amplitude(config.bits(), p.zero())
-    if kind == "psi_dual":
-        s = StateVector.basis(m, config.bits(), one)
-        for u in reversed(us):
-            s = apply_row_operator("C", u, s, p)
-        return s.amplitude(0, p.zero())
-    if kind == "phi":
-        s = StateVector.basis(m, config.bits(), one)
-        for u in reversed(us):
-            s = apply_row_operator("B", u, s, p)
-        return s.amplitude((1 << m) - 1, p.zero())
-    if kind == "phi_dual":
-        s = StateVector.packed(m, one)
-        for u in us:
-            s = apply_row_operator("C", u, s, p)
-        return s.amplitude(config.bits(), p.zero())
-    raise RingError(f"unknown wavefunction kind {kind!r}")
+    m = config.m
+    start = (1 << m) - 1 if packed else 0
+    if covector:
+        s = _sweep(op, config.bits(), reversed(us), m, p)
+        return s.amplitude(start, p.zero())
+    return _sweep(op, start, us, m, p).amplitude(config.bits(), p.zero())
+
+
+def wavefunctions(kind, m, us, p):
+    """Every amplitude of one wavefunction kind, from one operator sweep.
+
+    Returns {config bits: amplitude} over all configurations the kind
+    takes on m sites with N = len(us): N particles for psi and psi_dual,
+    N holes for phi and phi_dual.  psi and phi_dual read the state
+    B(u_N)...B(u_1)|vacuum> or C(u_N)...C(u_1)|packed>; phi and psi_dual
+    read the covector <packed|B(u_1)...B(u_N) or <vacuum|C(u_1)...C(u_N).
+    """
+    op, packed, covector, flavour = _wave_kind(kind)
+    n = len(us)
+    if n > m:
+        raise RingError(f"{n} spectral parameters on {m} sites")
+    start = (1 << m) - 1 if packed else 0
+    s = _sweep(op, start, us, m, p, transpose=covector)
+    occupied = n if flavour is ParticleConfig else m - n
+    zero = p.zero()
+    return {c.bits(): s.amplitude(c.bits(), zero)
+            for c in all_particle_configs(m, occupied)}
 
 
 def matrix_element(kind, bra, u, ket, p):

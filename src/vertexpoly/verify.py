@@ -27,7 +27,7 @@ from math import comb
 
 from .dwbp import check_ik_properties, z_det_hom, z_det_inhom, z_sum
 from .lattice import (HoleConfig, ParticleConfig, all_particle_configs,
-                      check_rll, check_ybe, wavefunction)
+                      check_rll, check_ybe, wavefunction, wavefunctions)
 from .mprod import (k_closed_form, k_prefactor, mat_eq, mat_mul, mat_scale,
                     mp_build, raising_parts, trace_wavefunction)
 from .params import ParamSet
@@ -183,9 +183,10 @@ def check_correspondence(spec):
     positions = _position_tuples(spec.m, spec.n, _rng(spec, 7))
     for p, us, tag in _points(spec, spec.n):
         for wf_kind, fam_kind, flavor in _KIND_TABLE:
+            amps = wavefunctions(wf_kind, spec.m, us, p)
             for pos in positions:
                 config = _wrap(flavor, spec.m, pos)
-                rec.compare(wavefunction(wf_kind, config, us, p),
+                rec.compare(amps[config.bits()],
                             family_poly(fam_kind, config, us, p),
                             kind=fam_kind, config=pos, trial=tag)
     return rec
@@ -197,7 +198,9 @@ def check_pairing(spec):
     Route one compares against the homogeneous determinant evaluated with
     the full spectral list; route two inserts a completeness relation and
     compares against the fully packed wavefunction.  Both the particle and
-    the dual (hole) versions run.
+    the dual (hole) versions run.  The lattice side of route two is the dot
+    product of one hole-kind sweep on the first M - N spectral parameters
+    and one particle-kind sweep on the last N.
     """
     rec = _Recorder()
     m, n = spec.m, spec.n
@@ -207,14 +210,16 @@ def check_pairing(spec):
         for dual in (False, True):
             h_kind, g_kind = ("Hbar", "Gbar") if dual else ("H", "G")
             wf_h, wf_g = ("phi_dual", "psi_dual") if dual else ("phi", "psi")
+            # a configuration and its holes share their basis bits
+            amps_h = wavefunctions(wf_h, m, us_first, p)
+            amps_g = wavefunctions(wf_g, m, us_last, p)
             sum_families = None
             sum_lattice = None
             for config in all_particle_configs(m, n):
                 holes = config.complement()
                 fam = family_poly(h_kind, holes, us_first, p) \
                     * family_poly(g_kind, config, us_last, p)
-                lat = wavefunction(wf_h, holes, us_first, p) \
-                    * wavefunction(wf_g, config, us_last, p)
+                lat = amps_h[config.bits()] * amps_g[config.bits()]
                 sum_families = fam if sum_families is None else sum_families + fam
                 sum_lattice = lat if sum_lattice is None else sum_lattice + lat
             rec.compare(sum_families, z_det_hom(m, us, p, dual=dual),
@@ -327,9 +332,10 @@ def check_mp_algebra(spec):
                                mat_scale(ratio, mat_mul(parts[k], parts[j]))),
                         relation="exchange", size=size, j=j + 1, k=k + 1,
                         trial=tag)
+        amps = wavefunctions("psi", m, us, p)
         for config in all_particle_configs(m, n):
             rec.compare(trace_wavefunction(config, us, p),
-                        wavefunction("psi", config, us, p),
+                        amps[config.bits()],
                         relation="operator-word", config=config.x, trial=tag)
         rec.compare(k_prefactor(m, us, p), k_closed_form(m, us, p),
                     relation="prefactor", trial=tag)

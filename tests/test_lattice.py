@@ -1,11 +1,15 @@
 """Lattice engine: local weights, row operators, wavefunctions."""
 
+from itertools import combinations
+
 import pytest
 
+import vertexpoly.lattice as lattice
 from vertexpoly.lattice import (HoleConfig, ParticleConfig, StateVector,
                                 all_particle_configs, apply_row_operator,
                                 check_rll, check_ybe, l_weight,
-                                matrix_element, r_weight, wavefunction)
+                                matrix_element, r_weight, wavefunction,
+                                wavefunctions)
 from vertexpoly.params import ParamSet
 from vertexpoly.ring import QQ, RatFunc, RingError, canonical_vartable
 
@@ -159,3 +163,104 @@ def test_rll_fails_off_the_constraint_surface():
     bad = ParamSet.unchecked(good.t, good.a, good.b, good.c, good.d,
                              good.e, good.f + 1)
     assert not check_rll(QQ(3, 7), QQ(5, 2), bad)
+
+
+WAVE_KINDS = ("psi", "psi_dual", "phi", "phi_dual")
+
+
+def assert_sweep_matches_single_amplitudes(kind, m, us, p):
+    """wavefunctions holds exactly the per-configuration wavefunctions."""
+    n = len(us)
+    amps = wavefunctions(kind, m, us, p)
+    if kind in ("psi", "psi_dual"):
+        configs = all_particle_configs(m, n)
+    else:
+        configs = [HoleConfig(m, c) for c in combinations(range(1, m + 1), n)]
+    assert set(amps) == {c.bits() for c in configs}
+    for config in configs:
+        assert amps[config.bits()] == wavefunction(kind, config, us, p), \
+            (kind, m, config)
+
+
+@pytest.mark.parametrize("kind", WAVE_KINDS)
+def test_sweep_matches_every_amplitude_numerically(num, kind):
+    for m in range(1, 6):
+        for n in range(m + 1):
+            assert_sweep_matches_single_amplitudes(kind, m, spectral(num, n),
+                                                   num)
+
+
+@pytest.mark.parametrize("kind", WAVE_KINDS)
+def test_sweep_matches_every_amplitude_with_inhomogeneities(kind):
+    for m in (3, 4):
+        p = ParamSet.sample(19, n_w=m)
+        for n in range(m + 1):
+            assert_sweep_matches_single_amplitudes(kind, m, spectral(p, n), p)
+
+
+@pytest.mark.parametrize("kind", WAVE_KINDS)
+def test_sweep_matches_every_amplitude_symbolically(sym, kind):
+    assert_sweep_matches_single_amplitudes(kind, 4, sym.spectral(2), sym)
+
+
+@pytest.mark.parametrize("inhomogeneous", [False, True])
+def test_transposed_sweep_is_the_matrix_transpose(inhomogeneous):
+    for m in (1, 2, 3):
+        p = ParamSet.sample(29, n_w=m if inhomogeneous else 0)
+        u = QQ(5, 11)
+        for kind in "ABCD":
+            for a in range(1 << m):
+                for b in range(1 << m):
+                    forward = apply_row_operator(
+                        kind, u, StateVector.basis(m, b, p.one()), p)
+                    covector = apply_row_operator(
+                        kind, u, StateVector.basis(m, a, p.one()), p,
+                        transpose=True)
+                    assert forward.amplitude(a, p.zero()) == \
+                        covector.amplitude(b, p.zero()), (kind, m, a, b)
+
+
+def test_particle_kinds_reject_a_hole_config(num):
+    # HoleConfig(4, (1, 2)) has the bits of ParticleConfig(4, (3, 4))
+    for kind in ("psi", "psi_dual"):
+        with pytest.raises(RingError):
+            wavefunction(kind, HoleConfig(4, (1, 2)), spectral(num, 2), num)
+
+
+def test_hole_kinds_reject_a_particle_config(num):
+    for kind in ("phi", "phi_dual"):
+        with pytest.raises(RingError):
+            wavefunction(kind, ParticleConfig(4, (1, 2)), spectral(num, 2),
+                         num)
+
+
+def test_unknown_row_operator_is_a_ring_error(num):
+    with pytest.raises(RingError):
+        apply_row_operator("X", QQ(1, 2), StateVector.vacuum(3, num.one()),
+                           num)
+
+
+def test_sweep_rejects_unknown_kinds_and_too_many_parameters(num):
+    with pytest.raises(RingError):
+        wavefunctions("chi", 3, spectral(num, 1), num)
+    with pytest.raises(RingError):
+        wavefunctions("phi", 3, spectral(num, 4), num)
+
+
+@pytest.mark.parametrize("n_w, budget", [(0, 8), (6, 8 * 6)])
+def test_row_operator_computes_each_local_weight_once(monkeypatch, n_w,
+                                                      budget):
+    # the weights depend on the site alone, never on the frontier entry
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return l_weight(*args)
+
+    p = ParamSet.sample(31, n_w=n_w)
+    s = StateVector(6, {c.bits(): QQ(k + 1, 3) for k, c in
+                        enumerate(all_particle_configs(6, 3))})
+    monkeypatch.setattr(lattice, "l_weight", counting)
+    out = apply_row_operator("B", QQ(2, 9), s, p)
+    assert out.particle_counts() == {4}
+    assert len(calls) <= budget
