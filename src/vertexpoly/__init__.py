@@ -3,7 +3,8 @@
 Subpackage map:
 
 - `ring`: sparse multivariate polynomials and rational functions over big
-  rationals, with an exact fraction-free determinant.
+  rationals, with an exact fraction-free determinant, and the prime field
+  GF(2^61 - 1) that eval-mode checks run in.
 - `params`: the constrained weight-parameter sets (numeric or symbolic).
 - `lattice`: local weights, row operators, wavefunctions, intertwining
   checkers.

@@ -6,23 +6,28 @@ by the five free values (t, a, b, c, d): we always derive f = -cd/a and
 e = -t*cd/b, which makes invalid parameter sets unrepresentable except
 through the explicit `unchecked` constructor used for fault injection.
 
-A ParamSet is either numeric (big-rational scalars) or symbolic (RatFunc
-scalars over one shared variable table); all scalars in one set share the
-mode and downstream computations inherit it.
+A ParamSet is either numeric (big-rational scalars, or `Residue` scalars
+once mapped into GF(2^61 - 1) with `map`) or symbolic (RatFunc scalars over
+one shared variable table); all scalars in one set share the mode and
+downstream computations inherit it.
 """
 
 from __future__ import annotations
 
 import random
 
-from .ring import (QQ, RatFunc, RingError, canonical_vartable, is_zero,
-                   random_rational)
+from .ring import (QQ, RatFunc, Residue, RingError, canonical_vartable,
+                   is_zero, random_rational)
 
 __all__ = ["ParamSet", "ParamError"]
 
 
 class ParamError(RingError):
     """Invalid model parameters."""
+
+
+_Q0, _Q1 = QQ(0), QQ(1)
+_R0, _R1 = Residue(0), Residue(1)
 
 
 class ParamSet:
@@ -123,20 +128,18 @@ class ParamSet:
         return self.t.vars
 
     def zero(self):
-        return RatFunc(self.vars.zero()) if self.symbolic else QQ(0)
+        if self.symbolic:
+            return RatFunc(self.vars.zero())
+        return _R0 if self.t.__class__ is Residue else _Q0
 
     def one(self):
-        return RatFunc(self.vars.one()) if self.symbolic else QQ(1)
+        if self.symbolic:
+            return RatFunc(self.vars.one())
+        return _R1 if self.t.__class__ is Residue else _Q1
 
     def spectral(self, n):
         """The symbolic spectral parameters u1..un (symbolic mode only)."""
         return [RatFunc(self.vars.var(f"u{j}")) for j in range(1, n + 1)]
-
-    def w_at(self, j):
-        """Inhomogeneity for site j (1-based); defaults to 1."""
-        if self.w is None:
-            return self.one()
-        return self.w[j - 1]
 
     def map(self, fn):
         """ParamSet with every scalar (including w) passed through fn."""

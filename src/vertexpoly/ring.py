@@ -37,6 +37,11 @@ normalization scales the denominator's leading coefficient to +1 and
 cancels cheap common factors (monomial content, and exact polynomial
 division when it succeeds).  Full gcd reduction is deliberately not
 attempted; the normative equality test is cross-multiplication.
+
+Residues.  `Residue` is an element of the prime field GF(2^61 - 1), one
+int per value; eval-mode checks map their seeded rational points into it
+with `Residue.of`, and the scalar-generic layers above then never see a
+growing rational.
 """
 
 from __future__ import annotations
@@ -60,6 +65,8 @@ __all__ = [
     "VarTable",
     "MultiPoly",
     "RatFunc",
+    "Residue",
+    "PRIME",
     "RingError",
     "NonExactDivision",
     "exact_divide",
@@ -852,6 +859,100 @@ def _cross_cancel(num, den):
     return num, den
 
 
+# -- the prime field GF(PRIME) ------------------------------------------
+
+PRIME = (1 << 61) - 1
+
+
+def _operand(x):
+    """The int behind a Residue or int operand; None for any other type."""
+    if x.__class__ is Residue:
+        return x.v
+    return x if isinstance(x, int) else None
+
+
+def _inverse(v):
+    if v % PRIME == 0:
+        raise ZeroDivisionError("division by zero in GF(2^61-1)")
+    return pow(v, -1, PRIME)
+
+
+class Residue:
+    """An element of the prime field GF(PRIME), PRIME = 2^61 - 1.
+
+    Stored as one int in [0, PRIME).  Python ints coerce; every other
+    operand type is refused with NotImplemented, so a rational that was not
+    first mapped by `Residue.of` raises TypeError instead of being folded
+    in.  A negative power is a power of the inverse.
+    """
+
+    __slots__ = ("v",)
+
+    def __init__(self, v):
+        self.v = v % PRIME
+
+    @classmethod
+    def of(cls, q):
+        """The residue of a rational (or int) q."""
+        num, den = _ratio(q)
+        if den % PRIME == 0:
+            raise ZeroDivisionError("denominator vanishes mod p")
+        return cls(num * pow(den, -1, PRIME))
+
+    def is_zero(self):
+        return self.v == 0
+
+    def __add__(self, other):
+        o = _operand(other)
+        return NotImplemented if o is None else Residue(self.v + o)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = _operand(other)
+        return NotImplemented if o is None else Residue(self.v - o)
+
+    def __rsub__(self, other):
+        o = _operand(other)
+        return NotImplemented if o is None else Residue(o - self.v)
+
+    def __neg__(self):
+        return Residue(-self.v)
+
+    def __mul__(self, other):
+        o = _operand(other)
+        return NotImplemented if o is None else Residue(self.v * o)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = _operand(other)
+        return NotImplemented if o is None else Residue(self.v * _inverse(o))
+
+    def __rtruediv__(self, other):
+        o = _operand(other)
+        return NotImplemented if o is None else Residue(o * _inverse(self.v))
+
+    def __pow__(self, k):
+        if not isinstance(k, int):
+            return NotImplemented
+        base = self.v if k >= 0 else _inverse(self.v)
+        return Residue(pow(base, abs(k), PRIME))
+
+    def __eq__(self, other):
+        o = _operand(other)
+        return NotImplemented if o is None else (self.v - o) % PRIME == 0
+
+    def __hash__(self):
+        return hash(self.v)
+
+    def __str__(self):
+        return str(self.v)
+
+    def __repr__(self):
+        return f"Residue({self.v})"
+
+
 # -- determinants -------------------------------------------------------
 
 
@@ -863,8 +964,9 @@ def determinant(matrix):
     RatFunc rows to polynomials, which avoids the exact polynomial
     divisions of fraction-free elimination that dominate the cost on large
     multivariate entries, and rational rows to integers by the lcm of their
-    denominators, so the expansion runs on ints.  The 0x0 determinant is 1
-    (empty product).  Mixing scalar modes is an error.
+    denominators, so the expansion runs on ints.  Residue rows expand as
+    they are.  The 0x0 determinant is 1 (empty product).  Mixing scalar
+    modes is an error.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
@@ -885,6 +987,8 @@ def determinant(matrix):
             rows.append([x.num * exact_divide(d, x.den) for x in row])
             total_den = total_den * d
         return RatFunc(_laplace(rows, vt.zero()), total_den)
+    if all(x.__class__ is Residue for x in flat):
+        return _laplace(matrix, Residue(0))
     if all(_is_rational(x) for x in flat):
         rows = []
         total_den = 1

@@ -2,11 +2,34 @@
 
 Each check computes one identity along two independent paths and compares
 with exact equality (zero tolerance).  Exact mode works symbolically over
-rational functions; eval mode evaluates at `trials` seeded random rational
-points (Schwartz-Zippel reasoning: a nonzero rational-function difference
-vanishes at a random million-scale point with negligible probability, and
-five independent points drive that probability far below any practical
-concern for the degrees involved).
+rational functions; eval mode evaluates at `trials` seeded random points.
+
+Eval mode and its field.  The seven lattice checks (correspondence,
+pairing, branching, mp-algebra, rll, ybe, dwbp) draw each point over Q and
+then map the parameters, the spectral list and the inhomogeneities into
+GF(p), p = 2^61 - 1, with `Residue.of`; both routes of every identity then
+run on residues, so no rational grows.  The draws themselves (and their
+salts) are the ones an evaluation over Q would use.  Soundness:
+
+- each draw is n/d with 1 <= n, d <= 10^6 < p, so no draw is 0 mod p, and
+  two draws are congruent only if they are equal over Q, because
+  |n1 d2 - n2 d1| < 10^12 < p; distinctness of the spectral parameters
+  and of the inhomogeneities carries over;
+- the derived e = -tcd/b and f = -cd/a have numerators and denominators
+  that are products of three factors in [1, 10^6], and p is prime, so
+  none of them is divisible by p;
+- by Schwartz-Zippel (Schwartz 1980; Zippel 1979) a nonzero difference of
+  degree deg vanishes at a random point with probability about deg/p
+  (about 10^-17 here) per trial.  A denominator that vanishes mod p but
+  not over Q is as unlikely, and stays a computation error.
+
+A numeric params override with a scalar whose numerator or denominator p
+divides has no faithful image in GF(p); such a spec's points stay over Q,
+through the same code.  `degeneration` stays over Q because it is symbolic
+in t (a substitution t -> 0, not an evaluation) and the ring has no
+residue coefficients; `ik-properties` stays over Q because its degree
+property lifts the numeric point into rational-function constants in w_N.
+`CheckReport.breakdown["field"]` records which field ran.
 
 Checks are independent; `run_checks` fans them out over a thread pool capped
 by the VERTEXPOLY_THREADS environment variable and merges reports back in
@@ -31,8 +54,8 @@ from .lattice import (HoleConfig, ParticleConfig, all_particle_configs,
 from .mprod import (k_closed_form, k_prefactor, mat_eq, mat_mul, mat_scale,
                     mp_build, raising_parts, trace_wavefunction)
 from .params import ParamSet
-from .ring import (RatFunc, RingError, canonical_vartable, distinct_rationals,
-                   random_rational)
+from .ring import (PRIME, RatFunc, Residue, RingError, canonical_vartable,
+                   distinct_rationals, random_rational)
 from .sympoly import (degeneration_rhs, family_poly, interlaces, skew_factor)
 
 __all__ = ["CheckSpec", "CheckReport", "CHECK_NAMES", "SpecError",
@@ -48,6 +71,11 @@ _KIND_TABLE = [
     ("phi", "H", "hole"),
     ("phi_dual", "Hbar", "hole"),
 ]
+
+
+# the checks whose eval mode runs over GF(PRIME)
+_RESIDUE_CHECKS = frozenset({"correspondence", "pairing", "branching",
+                             "mp-algebra", "rll", "ybe", "dwbp"})
 
 
 class SpecError(RingError):
@@ -136,6 +164,30 @@ def _trial_params(spec, trial):
     return spec.params or ParamSet.sample(spec.seed * 7919 + trial * 31 + 1)
 
 
+def _reduces(params):
+    """True when a params override maps faithfully into GF(PRIME).
+
+    That fails for a symbolic override, and for a numeric one with a
+    nonzero numerator or a denominator that PRIME divides.
+    """
+    if params is None:
+        return True
+    if params.symbolic:
+        return False
+    scalars = [params.t, params.a, params.b, params.c, params.d, params.e,
+               params.f, *(params.w or ())]
+    return all(v.denominator % PRIME and (v.numerator % PRIME or v == 0)
+               for v in scalars)
+
+
+def _field(spec):
+    """The field a check's points live in: "GF(2^61-1)" or "Q"."""
+    if spec.mode == "eval" and spec.name in _RESIDUE_CHECKS \
+            and _reduces(spec.params):
+        return "GF(2^61-1)"
+    return "Q"
+
+
 def _points(spec, n_u, n_w=0):
     """(params, spectral list, tag) for every point a check runs at.
 
@@ -143,8 +195,9 @@ def _points(spec, n_u, n_w=0):
     params override is lifted into its table as constants (keeping any
     constraint violations intact, which is what fault-injection tests rely
     on).  Eval mode yields one seeded numeric point per trial, tagged with
-    the trial number.  With n_w > 0 the params carry n_w inhomogeneities,
-    symbolic or seeded to match.
+    the trial number, mapped into GF(PRIME) unless `_field` says Q.
+    With n_w > 0 the params carry n_w inhomogeneities, symbolic or seeded
+    to match.
     """
     if spec.mode == "exact":
         p = spec.params
@@ -152,12 +205,16 @@ def _points(spec, n_u, n_w=0):
             p = ParamSet.symbolic_canonical(n_u, n_w, numeric=p)
         yield p, p.spectral(n_u), "symbolic"
         return
+    residues = _field(spec) != "Q"
     for trial in range(spec.trials):
         p = _trial_params(spec, trial)
         if n_w:
             ws = distinct_rationals(_rng(spec, 2000 + trial), n_w)
             p = ParamSet.unchecked(p.t, p.a, p.b, p.c, p.d, p.e, p.f, w=ws)
-        yield p, distinct_rationals(_rng(spec, 1000 + trial), n_u), trial
+        us = distinct_rationals(_rng(spec, 1000 + trial), n_u)
+        if residues:
+            p, us = p.map(Residue.of), [Residue.of(u) for u in us]
+        yield p, us, trial
 
 
 def _position_tuples(m, n, rng):
@@ -415,7 +472,8 @@ def run_check(spec):
     # a check that compared nothing has shown nothing
     return CheckReport(spec.name, rec.passed and rec.count > 0,
                        breakdown={"comparisons": rec.count,
-                                  "mode": spec.mode},
+                                  "mode": spec.mode,
+                                  "field": _field(spec)},
                        witness=rec.witness if rec.count else
                        {"reason": "no comparisons made"}, ms=ms)
 

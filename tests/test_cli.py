@@ -113,6 +113,20 @@ def test_verify_all_eval_passes(capsys):
     assert "correspondence" in names and "pairing" in names
 
 
+def test_verify_eval_with_params_that_do_not_reduce_mod_p(tmp_path, capsys):
+    # a = 2^61 - 1 is a valid parameter whose residue mod 2^61 - 1 is 0;
+    # eval mode keeps such a spec over Q and gives its verdicts over Q
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"t": "1/2", "a": str(2 ** 61 - 1), "b": "5",
+                                "c": "7", "d": "11"}))
+    code, out, err = run(capsys, "verify", "all", "--mode", "eval", "--m",
+                         "4", "--n", "2", "--trials", "2", "--params",
+                         str(path))
+    assert code == 0, err
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert len(reports) == 9 and all(r["pass"] for r in reports)
+
+
 def test_verify_failure_exit_three(monkeypatch, capsys):
     import vertexpoly.verify as vf
 

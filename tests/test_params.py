@@ -3,7 +3,7 @@
 import pytest
 
 from vertexpoly.params import ParamError, ParamSet
-from vertexpoly.ring import QQ, RatFunc, canonical_vartable
+from vertexpoly.ring import QQ, RatFunc, Residue, canonical_vartable
 
 
 def test_derived_weights_satisfy_both_constraints():
@@ -47,12 +47,6 @@ def test_sampling_is_deterministic_and_valid():
 def test_sampled_inhomogeneities_are_distinct():
     p = ParamSet.sample(7, n_w=6)
     assert len(set(p.w)) == 6
-    assert p.w_at(1) == p.w[0]
-
-
-def test_default_inhomogeneity_is_one():
-    p = ParamSet.sample(7)
-    assert p.w_at(3) == QQ(1)
 
 
 def test_scalar_mode_helpers():
@@ -62,6 +56,12 @@ def test_scalar_mode_helpers():
     assert isinstance(sym.one(), RatFunc)
     us = sym.spectral(2)
     assert [str(u.num) for u in us] == ["u1", "u2"]
+
+
+def test_residue_params_have_residue_units():
+    p = ParamSet.sample(1).map(Residue.of)
+    assert isinstance(p.one(), Residue) and isinstance(p.zero(), Residue)
+    assert p.one() == 1 and p.zero() == 0 and not p.symbolic
 
 
 def test_map_applies_to_every_scalar():

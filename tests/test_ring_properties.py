@@ -2,7 +2,8 @@
 
 The ring's own identities (axioms, exact division, normal forms, JSON) are
 checked on random polynomials, and division and determinants are checked
-against sympy as an independent oracle.  Exponents are drawn both small and
+against sympy as an independent oracle; the residue field GF(2^61 - 1) is
+checked against Fraction arithmetic.  Exponents are drawn both small and
 around the powers of two 2^7, 2^8 and 2^15, over a 3-variable and an
 8-variable table, so that fixed-width exponent fields of 8 and 16 bits
 overflow and carries and borrows between neighbouring fields are
@@ -10,13 +11,17 @@ exercised.
 """
 
 import json
+import operator
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vertexpoly.ring import (QQ, MultiPoly, RatFunc, VarTable, determinant,
-                             exact_divide, poly_from_json, poly_to_json,
+import random
+
+from vertexpoly.ring import (PRIME, QQ, MultiPoly, RatFunc, Residue, VarTable,
+                             determinant, distinct_rationals, exact_divide,
+                             poly_from_json, poly_to_json, random_rational,
                              ratfunc_from_json, ratfunc_to_json,
                              try_exact_divide)
 
@@ -211,3 +216,100 @@ def test_rational_determinant_matches_sympy(cells):
                                            int(c.denominator)) for c in row]
                            for row in cells]).det()
     assert determinant(cells) == QQ(int(theirs.p), int(theirs.q))
+
+
+# -- residues mod 2^61 - 1, with Fraction arithmetic as the oracle -------
+
+# small and huge integers, multiples of the prime and its neighbours
+integers = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                     st.integers(-10 ** 40, 10 ** 40),
+                     st.builds(lambda k, r: k * PRIME + r,
+                               st.integers(-3, 3), st.integers(-2, 2)))
+# rationals whose residue exists: denominators prime to the prime
+reducible = st.builds(QQ, integers, integers.filter(bool)).filter(
+    lambda q: q.denominator % PRIME)
+
+
+@FAST
+@given(reducible, reducible)
+def test_residue_map_is_a_ring_homomorphism(x, y):
+    rx, ry = Residue.of(x), Residue.of(y)
+    assert Residue.of(x + y) == rx + ry
+    assert Residue.of(x - y) == rx - ry
+    assert Residue.of(-x) == -rx
+    assert Residue.of(x * y) == rx * ry
+    if y.numerator % PRIME:
+        assert Residue.of(x / y) == rx / ry
+    assert 0 <= rx.v < PRIME and str(rx) == str(rx.v)
+
+
+@FAST
+@given(reducible, st.integers(-6, 6))
+def test_residue_powers_match_rational_powers(x, k):
+    if k < 0 and x.numerator % PRIME == 0:
+        return
+    assert Residue.of(x ** k) == Residue.of(x) ** k
+
+
+@FAST
+@given(reducible, st.integers(-10 ** 30, 10 ** 30))
+def test_python_ints_coerce_on_either_side(x, k):
+    r, rk = Residue.of(x), Residue.of(k)
+    assert r + k == k + r == r + rk
+    assert r - k == r - rk and k - r == rk - r
+    assert r * k == k * r == r * rk
+    assert (r == k) == (r == rk)
+    if k % PRIME:
+        assert r / k == r / rk
+    if r.v:
+        assert k / r == rk / r
+    assert hash(Residue.of(k)) == hash(Residue.of(k + PRIME))
+
+
+@ORACLE
+@given(square_matrices(st.one_of(st.just(QQ(0)), reducible), max_n=5))
+def test_residue_determinant_matches_rational_determinant(cells):
+    residues = [[Residue.of(c) for c in row] for row in cells]
+    assert determinant(residues) == Residue.of(determinant(cells))
+
+
+@FAST
+@given(st.integers(0, 2 ** 32), st.integers(2, 12))
+def test_distinct_draws_map_to_distinct_residues(seed, n):
+    draws = distinct_rationals(random.Random(seed), n)
+    assert len({Residue.of(q) for q in draws}) == n
+
+
+@FAST
+@given(*[st.integers(1, 10 ** 6)] * 4)
+def test_draws_congruent_mod_p_are_equal(n1, d1, n2, d2):
+    # the shape of every `random_rational` draw
+    assert (Residue.of(QQ(n1, d1)) == Residue.of(QQ(n2, d2))) == \
+        (QQ(n1, d1) == QQ(n2, d2))
+
+
+def test_seeded_draws_are_nonzero_residues():
+    rng = random.Random(5)
+    assert all(not Residue.of(random_rational(rng)).is_zero()
+               for _ in range(1000))
+
+
+MIXED_OPS = [operator.add, operator.sub, operator.mul, operator.truediv]
+
+
+@FAST
+@given(reducible, st.sampled_from(MIXED_OPS))
+def test_mixing_a_residue_with_a_rational_is_a_type_error(x, op):
+    r = Residue(3)
+    for a, b in ((r, x), (x, r), (r, 1.5), (1.5, r)):
+        with pytest.raises(TypeError):
+            op(a, b)
+
+
+def test_zero_residue_division_raises():
+    zero, five = Residue(0), Residue(5)
+    for thunk in (lambda: five / zero, lambda: five / PRIME,
+                  lambda: 1 / zero, lambda: zero ** -1,
+                  lambda: Residue.of(QQ(1, PRIME))):
+        with pytest.raises(ZeroDivisionError):
+            thunk()

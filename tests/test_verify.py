@@ -6,7 +6,7 @@ import json
 import pytest
 
 from vertexpoly.params import ParamSet
-from vertexpoly.ring import RingError
+from vertexpoly.ring import PRIME, QQ, RingError
 from vertexpoly.verify import (CHECK_NAMES, CheckSpec, default_suite,
                                reports_to_jsonl, run_check, run_checks)
 
@@ -105,7 +105,9 @@ def test_check_that_compares_nothing_fails(monkeypatch):
 
 # sha256 and length of the default suite's JSONL (every ms set to 0) and
 # the per-check comparison counts, captured before the lattice sweeps were
-# shared; the fault-injected runs pin every witness byte as well
+# shared; the fault-injected runs pin every witness byte as well.  The
+# eval-fault bytes were re-pinned when eval mode moved to GF(2^61-1): its
+# failing witnesses now print residues, every other byte is unchanged.
 SUITE_PINS = [
     (dict(m=3, n=2, mode="exact"), False,
      "5bb27a6e7779c7913c79624d785cf845d9fd99c486d0007cb077f1221196085c", 551,
@@ -117,7 +119,7 @@ SUITE_PINS = [
      "5bb27a6e7779c7913c79624d785cf845d9fd99c486d0007cb077f1221196085c", 551,
      [48, 8, 96, 12, 34, 10, 6, 2, 2]),
     (dict(m=4, n=2, mode="eval", trials=2), True,
-     "7af768655a1f5cad333740d625d53b6e747f30980ed4817d7c7db128edad650d", 3826,
+     "42e0006be8251aacbb3e2de61426d0169039838c2ef040fa0330ad56d7192d61", 1015,
      [48, 8, 96, 12, 34, 10, 6, 2, 2]),
 ]
 
@@ -136,3 +138,43 @@ def test_default_suite_output_is_pinned(kw, faulty, sha256, size, counts):
         r.ms = 0
     data = reports_to_jsonl(reports).encode()
     assert (hashlib.sha256(data).hexdigest(), len(data)) == (sha256, size)
+
+
+def _fault_injected(**kw):
+    p = ParamSet.sample(13)
+    bad = ParamSet.unchecked(p.t, p.a, p.b, p.c, p.d, p.e, p.f + 1)
+    return [run_check(s) for s in default_suite(params=bad, **kw)]
+
+
+def test_failing_eval_witnesses_print_residues():
+    values = [r.witness[side] for r in _fault_injected(m=4, n=2, mode="eval",
+                                                       trials=2)
+              if not r.passed for side in ("lhs", "rhs") if side in r.witness]
+    assert len(values) == 8
+    for v in values:
+        assert v.isdigit() and int(v) < PRIME, v
+
+
+_LATTICE_CHECKS = {"correspondence", "pairing", "branching", "mp-algebra",
+                   "rll", "ybe", "dwbp"}
+
+
+@pytest.mark.parametrize("mode", ["exact", "eval"])
+def test_report_records_the_scalar_field(mode):
+    reports = run_checks(default_suite(m=3, n=1, mode=mode, seed=2,
+                                       trials=1))
+    assert {r.name for r in reports} == set(CHECK_NAMES)
+    for r in reports:
+        over_gf = mode == "eval" and r.name in _LATTICE_CHECKS
+        assert r.breakdown["field"] == ("GF(2^61-1)" if over_gf else "Q"), \
+            r.name
+        assert "field" not in json.loads(r.to_json())
+
+
+def test_params_that_do_not_reduce_mod_p_run_over_q():
+    # a = p is a valid rational parameter, but its residue is 0
+    params = ParamSet(QQ(1, 2), QQ(PRIME), QQ(5), QQ(7), QQ(11))
+    reports = run_checks(default_suite(m=4, n=2, mode="eval", seed=1,
+                                       trials=2, params=params))
+    assert all(r.passed for r in reports), [r.witness for r in reports]
+    assert {r.breakdown["field"] for r in reports} == {"Q"}
