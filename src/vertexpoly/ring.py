@@ -965,14 +965,14 @@ def determinant(matrix):
     divisions of fraction-free elimination that dominate the cost on large
     multivariate entries, and rational rows to integers by the lcm of their
     denominators, so the expansion runs on ints.  Residue rows expand as
-    they are.  The 0x0 determinant is 1 (empty product).  Mixing scalar
-    modes is an error.
+    they are.  The 0x0 determinant is the int 1 (empty product), which
+    coerces into every scalar mode.  Mixing scalar modes is an error.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise RingError("determinant requires a square matrix")
     if n == 0:
-        return QQ(1)
+        return 1
     flat = [x for row in matrix for x in row]
     if all(isinstance(x, RatFunc) for x in flat):
         vt = matrix[0][0].vars

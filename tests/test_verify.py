@@ -178,3 +178,9 @@ def test_params_that_do_not_reduce_mod_p_run_over_q():
                                        trials=2, params=params))
     assert all(r.passed for r in reports), [r.witness for r in reports]
     assert {r.breakdown["field"] for r in reports} == {"Q"}
+
+
+def test_empty_lattice_pairing_runs_over_residues():
+    # the 0x0 determinant is the int 1, which a residue can divide
+    report = run_check(CheckSpec("pairing", m=0, n=0, mode="eval", trials=1))
+    assert report.passed and report.breakdown["field"] == "GF(2^61-1)"
