@@ -895,9 +895,7 @@ class Residue:
     def of(cls, q):
         """The residue of a rational (or int) q."""
         num, den = _ratio(q)
-        if den % PRIME == 0:
-            raise ZeroDivisionError("denominator vanishes mod p")
-        return cls(num * pow(den, -1, PRIME))
+        return cls(num * _inverse(den))
 
     def is_zero(self):
         return self.v == 0
