@@ -206,6 +206,15 @@ GOLDEN = [
      "194ae8dff6db28e78122e576b2f545bfa1be55c229dc6de80990a1f1819a13a3", 864),
     ("compute dwbp-det --kind inhom --n 2 --symbolic",
      "cf7ddb054af7c02c8e3add05e2701b665e7e05062a2a2bdbe5a2e158f37d36bd", 541),
+    ("compute wavefunction --kind psi --m 8 --x 2,5,7 --seed 3",
+     "25cfe8fb63a462da360a73c5c5a76ca3f532371410fec033baae79fb1ed1418d", 1038),
+    ("compute wavefunction --kind phi_dual --m 6 --xbar 2,5 --seed 5 "
+     "--format json",
+     "15b1088dc2d3d6062edf35867d02b40f0d3f3d38827597e39d354498dcfb0701", 610),
+    ("compute wavefunction --kind psi --m 5 --x 2,4 --symbolic --format json",
+     "fe9924bab20f5f2b4ec4665105215ec61abdf93af7ac8331f57a4c3e8b844b08", 6348),
+    ("compute wavefunction --kind phi_dual --m 5 --xbar 1,4 --symbolic",
+     "eba5aecc4b246fb7c8e7ab6e32fae9a818f4fa8ca3c046dd68f9d42349921eca", 3915),
     ("compute grothendieck --x 4,2,1 --seed 8",
      "4f9ff515c6841d566588a24df52886035d08931883bf3f9bdb51f4234cd84cca", 151),
     ("sample-params --seed 3",
