@@ -18,9 +18,12 @@ are the output bits and the sum runs over input bits.
 `wavefunctions` reads every amplitude of one kind from one sweep: psi and
 phi_dual from the states B(u_N)...B(u_1)|vacuum> and C(u_N)...C(u_1)|packed>,
 phi and psi_dual from the covectors <packed|B(u_1)...B(u_N) and
-<vacuum|C(u_1)...C(u_N).  `wavefunction` computes one amplitude; for the
-covector kinds it applies the operators to the configuration's basis state
-instead, which for a single amplitude is far cheaper than a covector sweep.
+<vacuum|C(u_1)...C(u_N).  `wavefunction` computes one amplitude the other
+way round, from the configuration's end: it sweeps from |config> for phi
+and psi_dual and from <config| for psi and phi_dual, and reads the vacuum
+or packed amplitude at the far end.  A sweep from one configuration never
+holds more states than the ice rule lets reach it, while a sweep from the
+vacuum or packed end builds every configuration of the kind.
 
 All functions are pure and scalar-mode generic: they work identically on
 big-rational scalars (fast numeric evaluation) and RatFunc scalars (exact
@@ -139,9 +142,6 @@ class StateVector:
     def amplitude(self, bits, zero):
         return self.amps.get(bits, zero)
 
-    def particle_counts(self):
-        return {bin(s).count("1") for s in self.amps}
-
     def __eq__(self, other):
         if not isinstance(other, StateVector) or self.m != other.m:
             return NotImplemented
@@ -256,8 +256,9 @@ def apply_row_operator(kind, u, s, p, transpose=False):
 
 
 # wavefunction kind -> (row operator, starts packed, covector, config class):
-# the forward kinds apply the operators to the start state, the covector
-# kinds apply them to the start covector
+# `wavefunctions` applies the operators to the start state for the forward
+# kinds and to the start covector for the covector kinds; `wavefunction`
+# starts at the configuration, from the opposite side
 _WAVE_KINDS = {
     "psi": ("B", False, False, ParticleConfig),
     "psi_dual": ("C", False, True, ParticleConfig),
@@ -291,6 +292,9 @@ def wavefunction(kind, config, us, p):
 
     psi and psi_dual take a ParticleConfig, phi and phi_dual a HoleConfig.
     Computed purely by operator application; no closed formula is used.
+    The sweep always starts at the configuration (a covector sweep from
+    <config| for psi and phi_dual) and reads the one amplitude it needs at
+    the vacuum or packed end.
     """
     op, packed, covector, flavour = _wave_kind(kind)
     if not isinstance(config, flavour):
@@ -299,10 +303,8 @@ def wavefunction(kind, config, us, p):
         raise RingError("config size must match the number of spectral parameters")
     m = config.m
     start = (1 << m) - 1 if packed else 0
-    if covector:
-        s = _sweep(op, config.bits(), reversed(us), m, p)
-        return s.amplitude(start, p.zero())
-    return _sweep(op, start, us, m, p).amplitude(config.bits(), p.zero())
+    s = _sweep(op, config.bits(), reversed(us), m, p, transpose=not covector)
+    return s.amplitude(start, p.zero())
 
 
 def wavefunctions(kind, m, us, p):

@@ -5,7 +5,10 @@ pair of operators on the 2^N-dimensional product of auxiliary spaces: a
 diagonal-block operator (from the vacuum-to-vacuum element) and a raising
 operator (from the vacuum-to-particle element), built by a kron recursion in
 the number of rows.  The wavefunction becomes a single matrix element of a
-word in these two operators, the word spelled by the particle configuration.
+word in these two operators, the word spelled by the particle configuration:
+the corner element <all-empty| word |all-full>.  It is read by carrying the
+all-empty row vector through the word, one row-times-matrix product per
+factor, so no product of two 2^N x 2^N matrices is formed.
 
 The raising operator decomposes into N rank-structured pieces obeying a
 quasi-commutation algebra; the decomposition is found by simultaneously
@@ -13,8 +16,8 @@ diagonalizing the diagonal-block operator through a recursively built
 triangular change of basis and conjugating back.
 
 All matrices are dense lists of lists with scalar-mode generic entries
-(rationals or RatFunc); sizes stay at 2^N with N small, so no sparsity is
-attempted.
+(rationals, residues or RatFunc); sizes stay at 2^N with N small, so no
+sparse format is used, though products skip zero entries.
 """
 
 from __future__ import annotations
@@ -98,13 +101,6 @@ def mat_kron(two, big):
 def mat_eq(x, y):
     return len(x) == len(y) and all(
         a == b for rx, ry in zip(x, y) for a, b in zip(rx, ry))
-
-
-def _mat_pow(x, k, p):
-    out = mat_identity(len(x), p)
-    for _ in range(k):
-        out = mat_mul(out, x)
-    return out
 
 
 # -- the operator pair and its diagonalization -------------------------
@@ -197,9 +193,17 @@ def raising_parts(us, p):
 # -- wavefunction and prefactor ----------------------------------------
 
 
-def _corner_element(x):
-    """<all-empty| X |all-full> in the kron basis: the top-right entry."""
-    return x[0][len(x) - 1]
+def _corner(factors, p):
+    """<all-empty| X_1 X_2 ... X_k |all-full> in the kron basis.
+
+    The top-right entry of the product, found by carrying the all-empty row
+    vector through the factors from the left, one row-times-matrix product
+    (skipping zeros, through `mat_mul`) per factor.
+    """
+    row = [[p.one()] + [p.zero()] * (len(factors[0]) - 1)]
+    for x in factors:
+        row = mat_mul(row, x)
+    return row[0][-1]
 
 
 def trace_wavefunction(config, us, p):
@@ -212,14 +216,11 @@ def trace_wavefunction(config, us, p):
     if len(config) != len(us):
         raise RingError("config size must match the number of spectral parameters")
     a_mat, c_mat = mp_build(us, p)
-    x = config.x
-    word = _mat_pow(a_mat, config.m - x[-1], p)
+    x = (0,) + config.x  # with x_0 = 0 the last block is C A^{x_1 - 1}
+    word = [a_mat] * (config.m - x[-1])
     for j in range(len(x) - 1, 0, -1):
-        word = mat_mul(word, c_mat)
-        word = mat_mul(word, _mat_pow(a_mat, x[j] - x[j - 1] - 1, p))
-    word = mat_mul(word, c_mat)
-    word = mat_mul(word, _mat_pow(a_mat, x[0] - 1, p))
-    return _corner_element(word)
+        word += [c_mat] + [a_mat] * (x[j] - x[j - 1] - 1)
+    return _corner(word, p)
 
 
 def k_prefactor(m, us, p):
@@ -231,10 +232,7 @@ def k_prefactor(m, us, p):
     n = len(us)
     a_mat, _ = mp_build(us, p)
     parts = raising_parts(us, p)
-    word = _mat_pow(a_mat, m - n, p)
-    for j in range(n - 1, -1, -1):
-        word = mat_mul(word, parts[j])
-    value = _corner_element(word)
+    value = _corner([a_mat] * (m - n) + parts[::-1], p)
     for j in range(1, n + 1):
         u = us[j - 1]
         value = value * ((p.a * u + p.b) / (p.e * u + p.f)) ** j

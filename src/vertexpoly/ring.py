@@ -883,7 +883,9 @@ class Residue:
     Stored as one int in [0, PRIME).  Python ints coerce; every other
     operand type is refused with NotImplemented, so a rational that was not
     first mapped by `Residue.of` raises TypeError instead of being folded
-    in.  A negative power is a power of the inverse.
+    in.  Comparing with a rational or a ring element raises TypeError too,
+    where the identity fallback of `==` would report a mismatch.  A negative
+    power is a power of the inverse.
     """
 
     __slots__ = ("v",)
@@ -939,7 +941,12 @@ class Residue:
 
     def __eq__(self, other):
         o = _operand(other)
-        return NotImplemented if o is None else (self.v - o) % PRIME == 0
+        if o is not None:
+            return (self.v - o) % PRIME == 0
+        if _is_rational(other) or isinstance(other, (MultiPoly, RatFunc)):
+            raise TypeError("cannot compare a residue with a "
+                            f"{other.__class__.__name__}")
+        return NotImplemented
 
     def __hash__(self):
         return hash(self.v)

@@ -9,7 +9,7 @@ from vertexpoly.mprod import (k_closed_form, k_prefactor, mat_add, mat_eq,
                               mp_build, mp_diagonalized, raising_parts,
                               trace_wavefunction)
 from vertexpoly.params import ParamSet
-from vertexpoly.ring import QQ, canonical_vartable
+from vertexpoly.ring import QQ, Residue, canonical_vartable
 
 
 @pytest.fixture
@@ -49,11 +49,21 @@ def test_matrix_helpers(num):
     assert len(k) == 4 and k[0][0] == one and k[2][2] == one
 
 
-def test_word_route_equals_direct_wavefunction(num):
-    us = spectral(3)
-    for config in all_particle_configs(6, 3):
+@pytest.mark.parametrize("n", [3, 4])
+def test_word_route_equals_direct_wavefunction(num, n):
+    us = spectral(n)
+    for config in all_particle_configs(6, n):
         assert trace_wavefunction(config, us, num) == \
             wavefunction("psi", config, us, num)
+
+
+def test_word_route_equals_direct_wavefunction_on_residues(num):
+    p = num.map(Residue.of)
+    us = [Residue.of(u) for u in spectral(3)]
+    for config in all_particle_configs(6, 3):
+        amp = trace_wavefunction(config, us, p)
+        assert isinstance(amp, Residue)
+        assert amp == wavefunction("psi", config, us, p)
 
 
 def test_word_route_symbolically_small():
@@ -106,6 +116,13 @@ def test_algebra_relations(num, n):
 def test_prefactor_closed_form(num, n, m):
     us = spectral(n)
     assert k_prefactor(m, us, num) == k_closed_form(m, us, num)
+
+
+@pytest.mark.parametrize("n,m", [(1, 3), (2, 4), (3, 6)])
+def test_prefactor_closed_form_on_residues(num, n, m):
+    p = num.map(Residue.of)
+    us = [Residue.of(u) for u in spectral(n)]
+    assert k_prefactor(m, us, p) == k_closed_form(m, us, p)
 
 
 def test_prefactor_closed_form_symbolic():

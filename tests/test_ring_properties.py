@@ -306,6 +306,18 @@ def test_mixing_a_residue_with_a_rational_is_a_type_error(x, op):
             op(a, b)
 
 
+@FAST
+@given(reducible)
+def test_comparing_a_residue_with_a_rational_is_a_type_error(x):
+    r = Residue.of(x)
+    poly = VT.const(x)
+    for other in (x, poly, RatFunc(poly)):
+        for op in (operator.eq, operator.ne):
+            for a, b in ((r, other), (other, r)):
+                with pytest.raises(TypeError):
+                    op(a, b)
+
+
 def test_zero_residue_division_raises():
     zero, five = Residue(0), Residue(5)
     for thunk in (lambda: five / zero, lambda: five / PRIME,
