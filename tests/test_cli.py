@@ -178,6 +178,14 @@ GOLDEN = [
     ("compute family --kind Hbar --m 5 --xbar 2,4 --symbolic --format json",
      "0aea399d8cfd331a66f59c510e0bbfb63351857d260d02742dc1a527949ba0d6",
      11890),
+    ("compute family --kind H --m 5 --xbar 1,4 --symbolic",
+     "c9620cb16110820d6ede6d005ec0a092903e01347505ddcf13c33279ed4bc345", 4152),
+    ("compute family --kind G --m 6 --x 2,5 --symbolic --format json",
+     "3d5357884526cd061e8675628442903911af6224a07312171062ce4a2d0405b2",
+     10902),
+    ("compute family --kind H --m 5 --xbar 1,3,5 --symbolic",
+     "f442d68a7c630d2f03a1985fca26689843e8015db8b3582399a3fd09d7f383c0",
+     36614),
     ("compute dwbp-det --kind hom --n 3 --symbolic",
      "5441d0b83b057d3561cc7f9cd4bbae8475259eab595242035a664a87b1d8307e", 5050),
     ("compute dwbp-det --kind dual-inhom --n 2 --symbolic",
