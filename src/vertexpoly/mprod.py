@@ -110,7 +110,8 @@ def mp_build(us, p):
     """The 2^N x 2^N operator pair (diagonal-block, raising) for rows us.
 
     Built by the kron recursion; the n-th step adjoins the new auxiliary
-    factor on the left (slowest index).
+    factor on the left (slowest index), assembling the new operators from
+    scaled copies of the old ones in their nonzero 2 x 2 block positions.
     """
     t, a, b, c, d, e, f = p.t, p.a, p.b, p.c, p.d, p.e, p.f
     zero = p.zero()
@@ -118,13 +119,13 @@ def mp_build(us, p):
     a_mat = [[a * u1 + b, zero], [zero, e * u1 + f]]
     c_mat = [[zero, (1 - t) * c * u1], [zero, zero]]
     for u in us[1:]:
-        a_next = mat_add(
-            mat_kron([[a * u + b, zero], [zero, e * u + f]], a_mat),
-            mat_kron([[zero, zero], [(1 - t) * d, zero]], c_mat))
-        c_next = mat_add(
-            mat_kron([[zero, (1 - t) * c * u], [zero, zero]], a_mat),
-            mat_kron([[a * t * u + b, zero], [zero, e * u + f * t]], c_mat))
-        a_mat, c_mat = a_next, c_next
+        a_mat, c_mat = (
+            _block2(mat_scale(a * u + b, a_mat), None,
+                    mat_scale((1 - t) * d, c_mat),
+                    mat_scale(e * u + f, a_mat), p),
+            _block2(mat_scale(a * t * u + b, c_mat),
+                    mat_scale((1 - t) * c * u, a_mat), None,
+                    mat_scale(e * u + f * t, c_mat), p))
     return a_mat, c_mat
 
 

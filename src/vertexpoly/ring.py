@@ -490,17 +490,25 @@ class MultiPoly:
     # -- evaluation / substitution --------------------------------------
 
     def evaluate(self, point):
-        """Evaluate at a map name -> rational; every variable must be bound."""
-        vals = [QQ(point[n]) for n in self.vars.names]
-        unpack = self._lay.unpack
-        total = QQ(0)
-        for e, c in zip(self._e, self._c):
-            term = c
-            for v, k in zip(vals, unpack(e)):
-                if k:
-                    term = term * v ** k
-            total += term
-        return total * QQ(self._n, self._d)
+        """Evaluate at a map name -> rational; every variable must be bound.
+
+        A value n_i/d_i of a variable of degree D_i enters through the table
+        n_i^k d_i^(D_i - k), so the terms sum over Z, and the common
+        denominator prod d_i^(D_i) and the content are applied once.
+        """
+        vals = [_ratio(QQ(point[n])) for n in self.vars.names]
+        exps = [self._lay.unpack(e) for e in self._e]
+        degs = [max(ks) for ks in zip(*exps)]
+        tables = [[n ** k * d ** (deg - k) for k in range(deg + 1)]
+                  for (n, d), deg in zip(vals, degs)]
+        total, den = 0, self._d
+        for ks, c in zip(exps, self._c):
+            for table, k in zip(tables, ks):
+                c *= table[k]
+            total += c
+        for (_, d), deg in zip(vals, degs):
+            den *= d ** deg
+        return QQ(total * self._n, den)
 
     def substitute(self, bindings):
         """Simultaneously substitute variables by rational values.

@@ -11,9 +11,10 @@ lambda_j = x_{N-j+1} - N + j - 1.
 
 Permutation sums iterate S_N in lexicographic order and evaluate the
 inversion-condition products from the explicit inversion set (the factors
-are ratios, not signs).  Summands are accumulated over a single explicit
-common denominator so that symbolic results normalize to polynomials over
-monomials.
+are ratios, not signs).  Each summand is cleared to a polynomial, and the
+sum is divided only by the pairwise factor prod_{j<k} (u_j - u_k) times one
+orientation of each inversion denominator; that division is exact, so
+symbolic results come out reduced, a polynomial over a monomial.
 """
 
 from __future__ import annotations
@@ -106,29 +107,23 @@ def family_poly(kind, config, us, p):
     site_nums = [_FORMS[num_form](p, u) for u in us]
     site_dens = [_FORMS[den_form](p, u) for u in us]
 
+    # Every summand is polynomial: the site ratios are scaled by the lowest
+    # and the highest position, and each pair's inversion ratio by both
+    # orientations of its denominator form.  The sum is then divisible by
+    # the pairwise factor alone, so no common denominator is built and
+    # symbolic results come out reduced, a polynomial over a monomial.
+    x_min, x_max = (positions[0], positions[-1]) if positions else (1, 1)
     prefactor = one
     for u, s_num, s_den in zip(us, site_nums, site_dens):
         weight = (1 - t) * c * u if with_cu else (1 - t) * d
-        prefactor = prefactor * (weight * s_den ** m / s_num)
+        prefactor = prefactor * (
+            weight * s_den ** (m - x_max) * s_num ** (x_min - 1))
+    pairwise = one
     for j in range(n):
         for k in range(j + 1, n):
-            uj, uk = us[j], us[k]
-            prefactor = prefactor * (inv_den(uj, uk) / (
-                t * (uj - uk) if t_outer else uj - uk))
-
-    # The sum is accumulated over one explicit common denominator (both
-    # orientations of every pairwise inversion factor, and the maximal
-    # site-ratio power); summands then stay polynomial and the single
-    # division at the end cancels exactly.  Summing the fractions naively
-    # leaves denominators the normalizer cannot fully clear, which makes
-    # downstream sums of family values blow up.
-    x_max = positions[-1] if positions else 0
-    denominator = one
-    for p_idx in range(n):
-        for q_idx in range(p_idx + 1, n):
-            denominator = denominator \
-                * inv_den(us[p_idx], us[q_idx]) * inv_den(us[q_idx], us[p_idx])
-        denominator = denominator * site_dens[p_idx] ** x_max
+            pairwise = pairwise * (us[j] - us[k]) * inv_den(us[k], us[j])
+            if t_outer:
+                prefactor = prefactor / t
     total = None
     for sigma in permutations(range(n)):
         term = one
@@ -136,17 +131,15 @@ def family_poly(kind, config, us, p):
             for k in range(j + 1, n):
                 usk, usj = us[sigma[k]], us[sigma[j]]
                 if sigma[j] > sigma[k]:
-                    # the matching inv_den orientation is in `denominator`;
-                    # restore the unused orientation alongside the numerator
                     term = term * inv_num(usk, usj) * inv_den(usj, usk)
                 else:
                     term = term * inv_den(usk, usj) * inv_den(usj, usk)
         for j in range(n):
             s = sigma[j]
-            term = term * site_nums[s] ** positions[j] \
+            term = term * site_nums[s] ** (positions[j] - x_min) \
                 * site_dens[s] ** (x_max - positions[j])
         total = term if total is None else total + term
-    return prefactor * total / denominator
+    return prefactor * (total / pairwise)
 
 
 def _family_positions(kind, config):

@@ -176,8 +176,7 @@ GOLDEN = [
     ("compute family --kind G --m 4 --x 2,4 --symbolic",
      "809878080d54127c8621bcbcee70db0b5ce5aa0f6a6bcbd79c3c9dc052605367", 2192),
     ("compute family --kind Hbar --m 5 --xbar 2,4 --symbolic --format json",
-     "0aea399d8cfd331a66f59c510e0bbfb63351857d260d02742dc1a527949ba0d6",
-     11890),
+     "898c7c3bb465b1a716f69846eed3459e6059093ed950e49f31b96844c9a6ec23", 6354),
     ("compute family --kind H --m 5 --xbar 1,4 --symbolic",
      "c9620cb16110820d6ede6d005ec0a092903e01347505ddcf13c33279ed4bc345", 4152),
     ("compute family --kind G --m 6 --x 2,5 --symbolic --format json",

@@ -187,6 +187,24 @@ def test_json_round_trip(p, n, d):
     assert back == r and ratfunc_to_json(back) == obj
 
 
+# -- evaluation ---------------------------------------------------------
+
+
+@FAST
+@given(poly_tuples(1, exps=ratfunc_exps),
+       st.lists(coeffs, min_size=8, max_size=8), st.integers(0, 8))
+def test_evaluate_matches_term_by_term_sum(ps, values, zero_at):
+    (p,) = ps
+    # at most one variable is zero, so that most values are nonzero
+    values[zero_at:zero_at + 1] = [QQ(0)] * (zero_at < 8)
+    want = QQ(0)
+    for e, c in p.terms.items():
+        for v, k in zip(values, e):
+            c *= v ** k
+        want += c
+    assert p.evaluate(dict(zip(p.vars.names, values))) == want
+
+
 # -- determinants -------------------------------------------------------
 
 

@@ -57,9 +57,21 @@ def test_families_match_wavefunctions_symbolically(sym2, wf_kind, fam_kind,
             wavefunction(wf_kind, config, us, sym2)
 
 
+def _family_config(kind, m, x):
+    return ParticleConfig(m, x) if kind in ("G", "Gbar") else HoleConfig(m, x)
+
+
 def test_family_results_are_polynomial_up_to_monomials(sym2):
-    r = family_poly("G", ParticleConfig(4, (1, 3)), sym2.spectral(2), sym2)
-    assert len(r.den.terms) == 1
+    # the reduced form: one denominator term, and no variable of it divides
+    # every numerator term
+    us = sym2.spectral(2)
+    for kind in ("G", "Gbar", "H", "Hbar"):
+        for m in (3, 4):
+            for c in all_particle_configs(m, 2):
+                r = family_poly(kind, _family_config(kind, m, c.x), us, sym2)
+                (den,) = r.den.terms
+                assert all(min(e[i] for e in r.num.terms) == 0
+                           for i, k in enumerate(den) if k), (kind, c)
 
 
 def test_family_kind_config_mismatch_rejected(sym2):
@@ -70,12 +82,19 @@ def test_family_kind_config_mismatch_rejected(sym2):
         family_poly("H", ParticleConfig(4, (1, 2)), us, sym2)
 
 
-def test_family_is_symmetric_in_spectral_parameters():
+def test_family_is_symmetric_in_spectral_parameters(sym2):
     p = ParamSet.sample(19)
     us = [QQ(2, 3), QQ(7, 5)]
     config = ParticleConfig(5, (2, 4))
     assert family_poly("G", config, us, p) == \
         family_poly("G", config, list(reversed(us)), p)
+    # a canonical form of a symmetric function cannot depend on the order
+    # of its arguments
+    us = sym2.spectral(2)
+    for kind in ("G", "Gbar", "H", "Hbar"):
+        config = _family_config(kind, 5, (2, 4))
+        assert str(family_poly(kind, config, us, sym2)) == \
+            str(family_poly(kind, config, us[::-1], sym2)), kind
 
 
 def test_interlacing_predicate():
