@@ -110,8 +110,8 @@ def family_poly(kind, config, us, p):
     # Every summand is polynomial: the site ratios are scaled by the lowest
     # and the highest position, and each pair's inversion ratio by both
     # orientations of its denominator form.  The sum is then divisible by
-    # the pairwise factor alone, so no common denominator is built and
-    # symbolic results come out reduced, a polynomial over a monomial.
+    # the pairwise factor alone, and symbolic results come out reduced, a
+    # polynomial over a monomial.
     x_min, x_max = (positions[0], positions[-1]) if positions else (1, 1)
     prefactor = one
     for u, s_num, s_den in zip(us, site_nums, site_dens):
