@@ -21,11 +21,11 @@ import random
 import sys
 
 from .dwbp import z_det_hom, z_det_inhom, z_sum
-from .lattice import HoleConfig, ParticleConfig, wavefunction
+from .lattice import _WAVE_KINDS, HoleConfig, ParticleConfig, wavefunction
 from .params import ParamError, ParamSet
 from .ring import (QQ, RatFunc, RingError, VarTable, distinct_rationals,
                    random_rational, ratfunc_to_json)
-from .sympoly import family_poly, grothendieck_det, skew_factor
+from .sympoly import _FAMILY_CONFIG, family_poly, grothendieck_det, skew_factor
 from .verify import (CHECK_NAMES, CheckSpec, SpecError, default_suite,
                      run_checks)
 
@@ -138,15 +138,13 @@ def _emit(value, fmt):
         print(value)
 
 
-def _config_for(kind, m, x, xbar):
-    """Particle or hole configuration per family kind, range-checked."""
-    hole = kind in ("H", "Hbar", "phi", "phi_dual")
-    pos = xbar if hole else x
-    flag = "--xbar" if hole else "--x"
+def _config_for(kind, flavour, m, x, xbar):
+    """The kind's configuration class on --x or --xbar, range-checked."""
+    pos, flag = (xbar, "--xbar") if flavour is HoleConfig else (x, "--x")
     if pos is None:
         raise UsageError(f"kind {kind} requires {flag}")
     try:
-        return HoleConfig(m, pos) if hole else ParticleConfig(m, pos)
+        return flavour(m, pos)
     except RingError as exc:
         raise UsageError(str(exc))
 
@@ -198,7 +196,7 @@ def _cmd_compute(args):
 
     if q == "skew":
         kind = args.kind or "G"
-        if kind not in ("G", "Gbar", "H", "Hbar"):
+        if kind not in _FAMILY_CONFIG:
             raise UsageError(f"unknown family kind {kind!r}")
         if args.m is None or x is None or xbar is None:
             raise UsageError("skew requires --m, --x (larger configuration) "
@@ -219,14 +217,13 @@ def _cmd_compute(args):
     if args.m is None:
         raise UsageError(f"{q} requires --m")
     if q == "family":
-        kind = args.kind or "G"
-        if kind not in ("G", "Gbar", "H", "Hbar"):
-            raise UsageError(f"unknown family kind {kind!r}")
+        kind, flavours = args.kind or "G", _FAMILY_CONFIG
     else:
         kind = args.kind or "psi"
-        if kind not in ("psi", "psi_dual", "phi", "phi_dual"):
-            raise UsageError(f"unknown wavefunction kind {kind!r}")
-    config = _config_for(kind, args.m, x, xbar)
+        flavours = {k: row[3] for k, row in _WAVE_KINDS.items()}
+    if kind not in flavours:
+        raise UsageError(f"unknown {q} kind {kind!r}")
+    config = _config_for(kind, flavours[kind], args.m, x, xbar)
     p, us, _ = _setup(args, len(config))
     if q == "family":
         _emit(family_poly(kind, config, us, p), args.format)

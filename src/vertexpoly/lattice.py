@@ -255,15 +255,18 @@ def apply_row_operator(kind, u, s, p, transpose=False):
     return StateVector(m, out)
 
 
-# wavefunction kind -> (row operator, starts packed, covector, config class):
-# `wavefunctions` applies the operators to the start state for the forward
-# kinds and to the start covector for the covector kinds; `wavefunction`
-# starts at the configuration, from the opposite side
+# wavefunction kind -> (row operator, starts packed, covector, config class,
+# the closed-form family it equals): `wavefunctions` applies the operators to
+# the start state for the forward kinds and to the start covector for the
+# covector kinds; `wavefunction` starts at the configuration, from the
+# opposite side.  The package's one statement of which configuration class
+# each wavefunction and family kind takes; the checks visit the kinds in
+# this order, which fixes the first witness they report.
 _WAVE_KINDS = {
-    "psi": ("B", False, False, ParticleConfig),
-    "psi_dual": ("C", False, True, ParticleConfig),
-    "phi": ("B", True, True, HoleConfig),
-    "phi_dual": ("C", True, False, HoleConfig),
+    "psi": ("B", False, False, ParticleConfig, "G"),
+    "psi_dual": ("C", False, True, ParticleConfig, "Gbar"),
+    "phi": ("B", True, True, HoleConfig, "H"),
+    "phi_dual": ("C", True, False, HoleConfig, "Hbar"),
 }
 
 
@@ -296,7 +299,7 @@ def wavefunction(kind, config, us, p):
     <config| for psi and phi_dual) and reads the one amplitude it needs at
     the vacuum or packed end.
     """
-    op, packed, covector, flavour = _wave_kind(kind)
+    op, packed, covector, flavour, _ = _wave_kind(kind)
     if not isinstance(config, flavour):
         raise RingError(f"kind {kind} requires a {flavour.__name__}")
     if len(config) != len(us):
@@ -316,7 +319,7 @@ def wavefunctions(kind, m, us, p):
     B(u_N)...B(u_1)|vacuum> or C(u_N)...C(u_1)|packed>; phi and psi_dual
     read the covector <packed|B(u_1)...B(u_N) or <vacuum|C(u_1)...C(u_N).
     """
-    op, packed, covector, flavour = _wave_kind(kind)
+    op, packed, covector, flavour, _ = _wave_kind(kind)
     n = len(us)
     if n > m:
         raise RingError(f"{n} spectral parameters on {m} sites")

@@ -28,7 +28,6 @@ __all__ = [
     "mat_mul",
     "mat_add",
     "mat_scale",
-    "mat_kron",
     "mat_identity",
     "mat_eq",
     "mp_build",
@@ -82,20 +81,6 @@ def mat_add(x, y):
 
 def mat_scale(s, x):
     return [[s * v for v in row] for row in x]
-
-
-def mat_kron(two, big):
-    """Kronecker product of a 2x2 block structure with a 2^n matrix."""
-    n = len(big)
-    out = []
-    for bi in range(2):
-        for i in range(n):
-            row = []
-            for bj in range(2):
-                for j in range(n):
-                    row.append(two[bi][bj] * big[i][j])
-            out.append(row)
-    return out
 
 
 def mat_eq(x, y):

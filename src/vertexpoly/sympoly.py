@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .lattice import HoleConfig, ParticleConfig
+from .lattice import _WAVE_KINDS, ParticleConfig
 from .ring import RatFunc, RingError, determinant, exact_divide
 
 __all__ = [
@@ -77,6 +77,17 @@ _FAMILY_ROWS = {
     "Hbar": ((1, 3), False, False, True),
 }
 
+# family kind -> the configuration class of the wavefunction it equals
+_FAMILY_CONFIG = {family: flavour
+                  for *_, flavour, family in _WAVE_KINDS.values()}
+
+
+def _family_row(kind):
+    """(configuration class, *_FAMILY_ROWS entry) of a family kind."""
+    if kind not in _FAMILY_ROWS:
+        raise RingError(f"unknown family kind {kind!r}")
+    return (_FAMILY_CONFIG[kind], *_FAMILY_ROWS[kind])
+
 
 def family_poly(kind, config, us, p):
     """One of the four symmetric polynomial families, by its closed formula.
@@ -85,15 +96,15 @@ def family_poly(kind, config, us, p):
     the configuration's lattice length.  The spectral parameters must be
     pairwise distinct.
     """
+    flavour, (num_form, den_form), with_cu, flipped, t_outer = \
+        _family_row(kind)
+    if not isinstance(config, flavour):
+        raise RingError(f"kind {kind} requires a {flavour.__name__}")
     m = config.m
     n = len(us)
     if len(config) != n:
         raise RingError("config size must match the number of spectral parameters")
-    positions = _family_positions(kind, config)
-    row = _FAMILY_ROWS.get(kind)
-    if row is None:
-        raise RingError(f"unknown family kind {kind!r}")
-    (num_form, den_form), with_cu, flipped, t_outer = row
+    positions = config.x if flavour is ParticleConfig else config.xbar
     t, c, d = p.t, p.c, p.d
     one = p.one()
 
@@ -140,16 +151,6 @@ def family_poly(kind, config, us, p):
                 * site_dens[s] ** (x_max - positions[j])
         total = term if total is None else total + term
     return prefactor * (total / pairwise)
-
-
-def _family_positions(kind, config):
-    if kind in ("G", "Gbar"):
-        if not isinstance(config, ParticleConfig):
-            raise RingError(f"kind {kind} requires a ParticleConfig")
-        return config.x
-    if not isinstance(config, HoleConfig):
-        raise RingError(f"kind {kind} requires a HoleConfig")
-    return config.xbar
 
 
 def grothendieck_det(lam, zs, beta):
@@ -227,6 +228,7 @@ def skew_factor(kind, y, x, u, p, m):
     (size N) configurations; 0 unless y interlaces x.  Equals the
     corresponding single-row operator matrix element.
     """
+    _, (num_form, den_form), with_cu, _, _ = _family_row(kind)
     y, x = tuple(y), tuple(x)
     if not interlaces(y, x):
         return p.zero()
@@ -235,10 +237,6 @@ def skew_factor(kind, y, x, u, p, m):
     if len(ps) != k + 1:
         raise RingError("skew subsequence extraction out of balance")
     qext = [0] + qs + [m + 1]
-    row = _FAMILY_ROWS.get(kind)
-    if row is None:
-        raise RingError(f"unknown skew kind {kind!r}")
-    (num_form, den_form), with_cu, _, _ = row
     t = p.t
     cu, dd = (1 - t) * p.c * u, (1 - t) * p.d
     if with_cu:

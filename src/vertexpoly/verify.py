@@ -49,10 +49,10 @@ from itertools import combinations
 from math import comb
 
 from .dwbp import check_ik_properties, z_det_hom, z_det_inhom, z_sum
-from .lattice import (HoleConfig, ParticleConfig, all_particle_configs,
+from .lattice import (_WAVE_KINDS, ParticleConfig, all_particle_configs,
                       check_rll, check_ybe, wavefunction, wavefunctions)
-from .mprod import (k_closed_form, k_prefactor, mat_eq, mat_mul, mat_scale,
-                    mp_build, raising_parts, trace_wavefunction)
+from .mprod import (k_closed_form, k_prefactor, mat_add, mat_eq, mat_mul,
+                    mat_scale, mp_build, raising_parts, trace_wavefunction)
 from .params import ParamSet
 from .ring import (PRIME, RatFunc, Residue, RingError, canonical_vartable,
                    distinct_rationals, random_rational)
@@ -63,14 +63,6 @@ __all__ = ["CheckSpec", "CheckReport", "CHECK_NAMES", "SpecError",
 
 
 _CONFIG_SAMPLE_LIMIT = 500
-
-# wavefunction kind <-> closed-form family kind, with the config flavor
-_KIND_TABLE = [
-    ("psi", "G", "particle"),
-    ("psi_dual", "Gbar", "particle"),
-    ("phi", "H", "hole"),
-    ("phi_dual", "Hbar", "hole"),
-]
 
 
 # the checks whose eval mode runs over GF(PRIME)
@@ -115,6 +107,9 @@ class CheckSpec:
         valid, rule = _SIZE_RULES.get(self.name, (lambda m, n: True, ""))
         if not valid(self.m, self.n):
             raise SpecError(f"{self.name} needs {rule}, got m={self.m}, "
+                            f"n={self.n}")
+        if self.m < 0 or self.n < 0:
+            raise SpecError(f"{self.name} needs m, n >= 0, got m={self.m}, "
                             f"n={self.n}")
 
 
@@ -227,10 +222,6 @@ def _position_tuples(m, n, rng):
     return sorted(seen)
 
 
-def _wrap(flavor, m, pos):
-    return ParticleConfig(m, pos) if flavor == "particle" else HoleConfig(m, pos)
-
-
 # -- the checks ---------------------------------------------------------
 
 
@@ -239,10 +230,10 @@ def check_correspondence(spec):
     rec = _Recorder()
     positions = _position_tuples(spec.m, spec.n, _rng(spec, 7))
     for p, us, tag in _points(spec, spec.n):
-        for wf_kind, fam_kind, flavor in _KIND_TABLE:
+        for wf_kind, (*_, flavour, fam_kind) in _WAVE_KINDS.items():
             amps = wavefunctions(wf_kind, spec.m, us, p)
             for pos in positions:
-                config = _wrap(flavor, spec.m, pos)
+                config = flavour(spec.m, pos)
                 rec.compare(amps[config.bits()],
                             family_poly(fam_kind, config, us, p),
                             kind=fam_kind, config=pos, trial=tag)
@@ -265,8 +256,8 @@ def check_pairing(spec):
     for p, us, tag in _points(spec, m):
         us_first, us_last = us[:m - n], us[m - n:]
         for dual in (False, True):
-            h_kind, g_kind = ("Hbar", "Gbar") if dual else ("H", "G")
             wf_h, wf_g = ("phi_dual", "psi_dual") if dual else ("phi", "psi")
+            h_kind, g_kind = _WAVE_KINDS[wf_h][-1], _WAVE_KINDS[wf_g][-1]
             # a configuration and its holes share their basis bits
             amps_h = wavefunctions(wf_h, m, us_first, p)
             amps_g = wavefunctions(wf_g, m, us_last, p)
@@ -281,9 +272,7 @@ def check_pairing(spec):
                 sum_lattice = lat if sum_lattice is None else sum_lattice + lat
             rec.compare(sum_families, z_det_hom(m, us, p, dual=dual),
                         route="determinant", dual=dual, trial=tag)
-            rec.compare(sum_lattice,
-                        wavefunction("psi_dual" if dual else "psi",
-                                     packed, us, p),
+            rec.compare(sum_lattice, wavefunction(wf_g, packed, us, p),
                         route="completeness", dual=dual, trial=tag)
     return rec
 
@@ -295,9 +284,9 @@ def check_branching(spec):
     ys = _position_tuples(m, n + 1, _rng(spec, 11))
     for p, us, tag in _points(spec, n + 1):
         us_small, u_new = us[:n], us[n]
-        for wf_kind, fam_kind, flavor in _KIND_TABLE:
+        for *_, flavour, fam_kind in _WAVE_KINDS.values():
             for y in ys:
-                lhs = family_poly(fam_kind, _wrap(flavor, m, y), us, p)
+                lhs = family_poly(fam_kind, flavour(m, y), us, p)
                 xs = [x for x in combinations(range(1, m + 1), n)
                       if interlaces(y, x)]
                 rec.expect(bool(xs), kind=fam_kind, y=y,
@@ -305,7 +294,7 @@ def check_branching(spec):
                 rhs = None
                 for x in xs:
                     term = skew_factor(fam_kind, y, x, u_new, p, m) \
-                        * family_poly(fam_kind, _wrap(flavor, m, x), us_small, p)
+                        * family_poly(fam_kind, flavour(m, x), us_small, p)
                     rhs = term if rhs is None else rhs + term
                 rec.compare(lhs, rhs, kind=fam_kind, y=y, trial=tag)
     return rec
@@ -362,8 +351,7 @@ def check_mp_algebra(spec):
             parts = raising_parts(sub, p)
             total = parts[0]
             for piece in parts[1:]:
-                total = [[x + y for x, y in zip(rx, ry)]
-                         for rx, ry in zip(total, piece)]
+                total = mat_add(total, piece)
             rec.expect(mat_eq(total, c_mat), relation="decomposition",
                        size=size, trial=tag)
             for j in range(size):

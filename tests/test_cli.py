@@ -252,6 +252,9 @@ def test_golden_output(capsys, argv, sha256, size):
     "verify ik-properties --n 1",
     "verify dwbp --n 0",
     "verify dwbp --n -1",
+    "verify rll --m -3 --n -1",
+    "verify ybe --n -1",
+    "verify dwbp --m -1 --n 2",
     "compute skew --m 5 --x 3,1,5 --xbar 2,4",
 ])
 def test_invalid_sizes_are_usage_errors(capsys, argv):

@@ -1,12 +1,15 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene: no module of the package imports a name it never uses,
+and none exports a name it does not bind.
 
 Each `src/vertexpoly/*.py` except `__init__.py` (whose imports are the
 public re-exports) is parsed with `ast`.  A name bound by a module-level
 import, including one inside a module-level try block, must be read
-somewhere in the module or be listed in its `__all__`.
+somewhere in the module or be listed in its `__all__`.  Every name listed
+in a module's `__all__` must be an attribute of the imported module.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -49,3 +52,10 @@ def test_no_unused_module_imports(path):
     unused = [f"{path.name}:{line} {name}"
               for name, line in _module_imports(tree) if name not in used]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_exported_name_is_bound(path):
+    module = importlib.import_module(f"vertexpoly.{path.stem}")
+    stale = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not stale, f"{path.name} exports unbound names: {stale}"

@@ -5,8 +5,8 @@ import pytest
 from vertexpoly.lattice import ParticleConfig, all_particle_configs, \
     wavefunction
 from vertexpoly.mprod import (k_closed_form, k_prefactor, mat_add, mat_eq,
-                              mat_identity, mat_kron, mat_mul, mat_scale,
-                              mp_build, mp_diagonalized, raising_parts,
+                              mat_identity, mat_mul, mat_scale, mp_build,
+                              mp_diagonalized, raising_parts,
                               trace_wavefunction)
 from vertexpoly.params import ParamSet
 from vertexpoly.ring import QQ, Residue, canonical_vartable
@@ -45,8 +45,6 @@ def test_matrix_helpers(num):
     assert mat_eq(mat_mul(i2, m), m)
     assert mat_eq(mat_add(m, mat_scale(-one, m)),
                   [[num.zero()] * 2 for _ in range(2)])
-    k = mat_kron([[one, num.zero()], [num.zero(), one]], m)
-    assert len(k) == 4 and k[0][0] == one and k[2][2] == one
 
 
 def test_word_route_equals_direct_wavefunction(num):

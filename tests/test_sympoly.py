@@ -82,6 +82,12 @@ def test_family_kind_config_mismatch_rejected(sym2):
         family_poly("H", ParticleConfig(4, (1, 2)), us, sym2)
 
 
+def test_unknown_family_kind_is_named_before_the_config_class(sym2):
+    us = sym2.spectral(2)
+    with pytest.raises(RingError, match="unknown family kind 'X'"):
+        family_poly("X", ParticleConfig(4, (1, 2)), us, sym2)
+
+
 def test_family_is_symmetric_in_spectral_parameters(sym2):
     p = ParamSet.sample(19)
     us = [QQ(2, 3), QQ(7, 5)]
@@ -107,6 +113,12 @@ def test_interlacing_predicate():
 def test_skew_factor_zero_without_interlacing(sym1):
     u = sym1.spectral(1)[0]
     assert skew_factor("G", (1, 2, 4), (3, 4), u, sym1, 5).is_zero()
+
+
+def test_skew_factor_rejects_unknown_kind_without_interlacing(sym1):
+    u = sym1.spectral(1)[0]
+    with pytest.raises(RingError, match="unknown family kind 'X'"):
+        skew_factor("X", (1, 2), (3,), u, sym1, 4)
 
 
 def test_skew_factor_worked_product(sym1):
