@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from vertexpoly.cli import main
+from vertexpoly.cli import _numeric_spectral, main
 
 
 def run(capsys, *argv):
@@ -148,6 +148,19 @@ def test_non_integer_thread_count_is_usage_error(monkeypatch, capsys):
     assert err.startswith("error: ") and "VERTEXPOLY_THREADS" in err
 
 
+def test_vanishing_inversion_denominator_is_computation_error(tmp_path,
+                                                            capsys):
+    # t = u2/u1 at the spectral draws of seed 0 makes the permutation
+    # sum's inversion denominator t*u1 - u2 vanish
+    u1, u2 = _numeric_spectral(0, 2)
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"t": str(u2 / u1), "a": "1", "b": "2",
+                                "c": "3", "d": "5"}))
+    code, out, err = run(capsys, "compute", "dwbp-sum", "--n", "2",
+                         "--seed", "0", "--params", str(path))
+    assert code == 1 and out == "" and err.startswith("error: ")
+
+
 def test_identical_invocations_byte_identical_modulo_timing(capsys):
     argv = ("verify", "correspondence", "--m", "4", "--n", "2",
             "--trials", "2", "--seed", "9")
@@ -256,6 +269,15 @@ def test_golden_output(capsys, argv, sha256, size):
     "verify ybe --n -1",
     "verify dwbp --m -1 --n 2",
     "compute skew --m 5 --x 3,1,5 --xbar 2,4",
+    "compute grothendieck",
+    "compute dwbp-sum",
+    "compute dwbp-sum --n 0",
+    "compute dwbp-det --n 2 --kind bogus",
+    "compute skew --kind X --m 5 --x 1,3,5 --xbar 2,4",
+    "compute skew --m 5 --x 1,3 --xbar 2,4",
+    "compute family --x 1,2",
+    "compute family --kind H --m 4 --x 1,2",
+    "compute wavefunction --m 4 --x 1,a",
 ])
 def test_invalid_sizes_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv.split())

@@ -6,6 +6,8 @@ public re-exports) is parsed with `ast`.  A name bound by a module-level
 import, including one inside a module-level try block, must be read
 somewhere in the module or be listed in its `__all__`.  Every name listed
 in a module's `__all__` must be an attribute of the imported module.
+Every module-level private name (a `_name` bound by def, class or
+assignment) must be read somewhere in the package.
 """
 
 import ast
@@ -59,3 +61,33 @@ def test_every_exported_name_is_bound(path):
     module = importlib.import_module(f"vertexpoly.{path.stem}")
     stale = [name for name in module.__all__ if not hasattr(module, name)]
     assert not stale, f"{path.name} exports unbound names: {stale}"
+
+
+def _private_definitions(tree):
+    """(name, line) for every module-level `_name` def, class or assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [(node.name, node.lineno)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            lhs = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [(n.id, node.lineno) for t in lhs for n in ast.walk(t)
+                       if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from ((name, line) for name, line in targets
+                    if name.startswith("_") and not name.startswith("__"))
+
+
+def test_every_private_module_name_is_read():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted(SRC.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    dead = [f"{name}:{line} {ident}" for name, tree in trees.items()
+            for ident, line in _private_definitions(tree) if ident not in read]
+    assert not dead, "private names never read: " + ", ".join(dead)

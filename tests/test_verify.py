@@ -87,6 +87,52 @@ def test_fault_injection_breaks_dwbp_in_both_modes():
         assert not report.passed, mode
 
 
+# Faults in the routes that parameter injection cannot reach: these checks
+# build their own parameters or hold for any e and f.  Each mutant is
+# patched where its name is looked up at call time.
+
+
+@pytest.mark.parametrize("mode", ["exact", "eval"])
+def test_shifted_partition_breaks_degeneration(monkeypatch, mode):
+    import vertexpoly.sympoly as sp
+
+    config_to_young = sp.config_to_young
+    monkeypatch.setattr(sp, "config_to_young",
+                        lambda x: tuple(v + 1 for v in config_to_young(x)))
+    report = run_check(CheckSpec("degeneration", m=3, n=2, mode=mode,
+                                 seed=1, trials=1))
+    assert not report.passed and "lhs" in report.witness
+
+
+def test_scaled_partition_function_breaks_ik_base_case(monkeypatch):
+    import vertexpoly.dwbp as dw
+
+    z_sum = dw.z_sum
+    monkeypatch.setattr(dw.check_ik_properties, "__defaults__",
+                        (lambda us, p, ws=None: 2 * z_sum(us, p, ws=ws),))
+    report = run_check(CheckSpec("ik-properties", n=2, mode="eval", seed=1,
+                                 trials=1))
+    assert not report.passed
+    assert report.witness["property"] == "base-case"
+
+
+@pytest.mark.parametrize("name", ["rll", "ybe"])
+@pytest.mark.parametrize("mode", ["exact", "eval"])
+def test_wrong_intertwiner_entry_breaks_exchange_checks(monkeypatch, name,
+                                                         mode):
+    import vertexpoly.lattice as lat
+
+    r_weight = lat.r_weight
+
+    def doubled_01_to_10(alpha, beta, gamma, delta, u, p):
+        w = r_weight(alpha, beta, gamma, delta, u, p)
+        return 2 * w if (alpha, beta, gamma, delta) == (0, 1, 1, 0) else w
+
+    monkeypatch.setattr(lat, "r_weight", doubled_01_to_10)
+    report = run_check(CheckSpec(name, mode=mode, seed=1, trials=1))
+    assert not report.passed
+
+
 def test_check_names_cover_the_registry():
     assert set(CHECK_NAMES) >= {"correspondence", "pairing", "branching",
                                 "degeneration", "mp-algebra", "ik-properties",
@@ -184,3 +230,17 @@ def test_empty_lattice_pairing_runs_over_residues():
     # the 0x0 determinant is the int 1, which a residue can divide
     report = run_check(CheckSpec("pairing", m=0, n=0, mode="eval", trials=1))
     assert report.passed and report.breakdown["field"] == "GF(2^61-1)"
+
+
+def test_position_tuples_sample_when_there_are_too_many():
+    import random
+
+    from vertexpoly.verify import _position_tuples
+
+    # comb(12, 6) = 924 exceeds the 500-tuple limit
+    tuples = _position_tuples(12, 6, random.Random(4))
+    assert len(tuples) == len(set(tuples)) == 500
+    assert all(len(t) == 6 and 1 <= t[0] and t[-1] <= 12
+               and all(a < b for a, b in zip(t, t[1:])) for t in tuples)
+    assert tuples == sorted(tuples)
+    assert _position_tuples(12, 6, random.Random(4)) == tuples
