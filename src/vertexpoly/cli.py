@@ -6,11 +6,12 @@ bialternant-form polynomial), `verify` runs named identity checks and emits
 a JSON-lines report, and `sample-params` draws a seeded parameter set in
 the format accepted by --params.
 
-Exit codes: 0 success, 1 computation error (e.g. coincident spectral
-values), 2 usage error (bad flags, out-of-range configurations or check
-sizes, invalid parameter files), 3 verification failure.  Identical
-invocations produce byte-identical output; symbolic text output uses the
-graded-lexicographic monomial order.
+Exit codes: 0 success, 1 computation error (e.g. `compute dwbp-sum` with a
+parameter file whose t is the ratio of two sampled spectral values, so that
+an inversion denominator vanishes), 2 usage error (bad flags, out-of-range
+configurations or check sizes, invalid parameter files), 3 verification
+failure.  Identical invocations produce byte-identical output; symbolic
+text output uses the graded-lexicographic monomial order.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .ring import (QQ, RatFunc, RingError, VarTable, distinct_rationals,
                    random_rational, ratfunc_to_json)
 from .sympoly import _FAMILY_CONFIG, family_poly, grothendieck_det, skew_factor
 from .verify import (CHECK_NAMES, CheckSpec, SpecError, default_suite,
-                     run_checks)
+                     reports_to_jsonl, run_checks)
 
 __all__ = ["main"]
 
@@ -255,8 +256,7 @@ def _cmd_verify(args):
         specs = [CheckSpec(args.check, m=m, n=n, mode=args.mode,
                            seed=args.seed, trials=args.trials, params=params)]
     reports = run_checks(specs)
-    for report in reports:
-        print(report.to_json())
+    print(reports_to_jsonl(reports))
     return _EXIT_OK if all(r.passed for r in reports) else _EXIT_VERIFY
 
 

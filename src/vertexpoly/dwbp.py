@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 
 from .ring import (RatFunc, RingError, VarTable, determinant,
                    distinct_rationals, random_rational)
@@ -24,13 +24,8 @@ __all__ = ["z_sum", "z_det_inhom", "z_det_hom", "check_ik_properties",
            "IkReport"]
 
 
-def _pairwise_distinct(values):
-    return all(values[j] != values[k]
-               for j in range(len(values)) for k in range(j + 1, len(values)))
-
-
 def _require_distinct(values, what):
-    if not _pairwise_distinct(values):
+    if any(v == w for v, w in combinations(values, 2)):
         raise RingError(f"{what} must be pairwise distinct")
 
 

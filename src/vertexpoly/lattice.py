@@ -54,6 +54,16 @@ __all__ = [
 ]
 
 
+def _positions(m, values):
+    """values as a tuple, checked to be strictly increasing in 1..m."""
+    values = tuple(values)
+    if any(not (1 <= v <= m) for v in values):
+        raise RingError(f"config {values} out of range 1..{m}")
+    if any(p >= q for p, q in zip(values, values[1:])):
+        raise RingError(f"config {values} not strictly increasing")
+    return values
+
+
 @dataclass(frozen=True)
 class ParticleConfig:
     """Strictly increasing occupied-site positions x_1 < ... < x_N in 1..M."""
@@ -62,11 +72,7 @@ class ParticleConfig:
     x: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "x", tuple(self.x))
-        if any(not (1 <= v <= self.m) for v in self.x):
-            raise RingError(f"config {self.x} out of range 1..{self.m}")
-        if any(p >= q for p, q in zip(self.x, self.x[1:])):
-            raise RingError(f"config {self.x} not strictly increasing")
+        object.__setattr__(self, "x", _positions(self.m, self.x))
 
     def __len__(self):
         return len(self.x)
@@ -92,11 +98,7 @@ class HoleConfig:
     xbar: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "xbar", tuple(self.xbar))
-        if any(not (1 <= v <= self.m) for v in self.xbar):
-            raise RingError(f"config {self.xbar} out of range 1..{self.m}")
-        if any(p >= q for p, q in zip(self.xbar, self.xbar[1:])):
-            raise RingError(f"config {self.xbar} not strictly increasing")
+        object.__setattr__(self, "xbar", _positions(self.m, self.xbar))
 
     def __len__(self):
         return len(self.xbar)

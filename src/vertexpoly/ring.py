@@ -829,9 +829,7 @@ class RatFunc:
 
 
 def _cancel_monomial_content(num, den):
-    """Cancel the largest common monomial factor of num and den."""
-    if num.is_zero() or den.is_zero():
-        return num, den
+    """Cancel the largest common monomial factor of nonzero num and den."""
     num, den = _same_layout(num, den)
     lay = num._lay
     guard, top, fields = lay.guard, lay.width - 1, (1 << lay.deg_shift) - 1

@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import permutations
 
 from .lattice import _WAVE_KINDS, ParticleConfig
-from .ring import RatFunc, RingError, determinant, exact_divide
+from .ring import RingError, determinant
 
 __all__ = [
     "family_poly",
@@ -157,28 +157,21 @@ def grothendieck_det(lam, zs, beta):
     """Bialternant determinant form of the beta-Grothendieck polynomial.
 
     det_N(z_j^{lambda_k + N - k} (1 + beta z_j)^{k-1}) divided by the
-    Vandermonde prod_{j<k}(z_j - z_k).  When all entries are polynomial the
-    division is performed exactly (remainder asserted zero).
+    Vandermonde prod_{j<k}(z_j - z_k) in one division.  The Vandermonde
+    starts at beta ** 0, so it has beta's scalar type even for N = 0.  With
+    polynomial entries the division is exact, and `RatFunc` division
+    returns the quotient as a polynomial.
     """
     n = len(lam)
-    if n == 0:
-        return beta ** 0
     if any(a < b for a, b in zip(lam, lam[1:])):
         raise RingError(f"{lam} is not weakly decreasing")
     matrix = [[z ** (lam[k - 1] + n - k) * (1 + beta * z) ** (k - 1)
                for k in range(1, n + 1)] for z in zs]
-    det = determinant(matrix)
-    if n == 1:
-        return det
-    vandermonde = None
+    vandermonde = beta ** 0
     for j in range(n):
         for k in range(j + 1, n):
-            factor = zs[j] - zs[k]
-            vandermonde = factor if vandermonde is None else vandermonde * factor
-    if isinstance(det, RatFunc) and det.is_poly() and \
-            isinstance(vandermonde, RatFunc) and vandermonde.is_poly():
-        return RatFunc(exact_divide(det.as_poly(), vandermonde.as_poly()))
-    return det / vandermonde
+            vandermonde = vandermonde * (zs[j] - zs[k])
+    return determinant(matrix) / vandermonde
 
 
 def degeneration_rhs(x, us, beta, m):

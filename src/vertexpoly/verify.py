@@ -401,19 +401,14 @@ def check_ik(spec):
     return rec
 
 
-def check_rll_suite(spec):
-    """Intertwining relation at seeded random points (or symbolically)."""
+def check_exchange(spec):
+    """Intertwining relation ("rll") or Yang-Baxter equation ("ybe") at
+    seeded random points (or symbolically)."""
+    # looked up at call time, so that a rebinding of either name is seen
+    relation = check_rll if spec.name == "rll" else check_ybe
     rec = _Recorder()
     for p, us, tag in _points(spec, 2):
-        rec.expect(check_rll(us[0], us[1], p), point=tag)
-    return rec
-
-
-def check_ybe_suite(spec):
-    """Yang-Baxter equation at seeded random points (or symbolically)."""
-    rec = _Recorder()
-    for p, us, tag in _points(spec, 2):
-        rec.expect(check_ybe(us[0], us[1], p), point=tag)
+        rec.expect(relation(us[0], us[1], p), point=tag)
     return rec
 
 
@@ -441,8 +436,8 @@ _CHECKS = {
     "degeneration": check_degeneration,
     "mp-algebra": check_mp_algebra,
     "ik-properties": check_ik,
-    "rll": check_rll_suite,
-    "ybe": check_ybe_suite,
+    "rll": check_exchange,
+    "ybe": check_exchange,
     "dwbp": check_dwbp_triangle,
 }
 
