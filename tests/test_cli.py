@@ -80,6 +80,43 @@ def test_bad_params_file_is_usage_error(tmp_path, capsys):
     assert code == 2 and "invalid parameters" in err
 
 
+_PARAMS = {"t": "1/2", "a": "2", "b": "3", "c": "4", "d": "5"}
+
+
+@pytest.mark.parametrize("text, message", [
+    (json.dumps(dict(_PARAMS, t="1")),
+     "invalid parameters: t = 1 is excluded"),
+    (json.dumps(dict(_PARAMS, t="0")),
+     "invalid parameters: parameter t must be nonzero"),
+    (json.dumps(dict(_PARAMS, a="0")),
+     "invalid parameters: parameters a and b must be nonzero"),
+    (json.dumps(dict(_PARAMS, b="0")),
+     "invalid parameters: parameters a and b must be nonzero"),
+    (json.dumps(dict(_PARAMS, c="0")),
+     "invalid parameters: parameter c must be nonzero"),
+    (json.dumps(dict(_PARAMS, d="0")),
+     "invalid parameters: parameter d must be nonzero"),
+    (None, "cannot read parameter file: [Errno 2] No such file or "
+           "directory: {path!r}"),
+    ('{"t": 1/2', "cannot read parameter file: Expecting ',' delimiter: "
+                  "line 1 column 8 (char 7)"),
+    (json.dumps({k: v for k, v in _PARAMS.items() if k != "d"}),
+     "parameter file must have exactly the keys ('t', 'a', 'b', 'c', 'd')"),
+    (json.dumps(dict(_PARAMS, a="two")),
+     "parameter a is not a rational p/q string"),
+], ids=["t=1", "t=0", "a=0", "b=0", "c=0", "d=0", "missing-file",
+        "invalid-json", "wrong-keys", "not-p/q"])
+def test_parameter_file_errors_are_usage_errors(tmp_path, capsys, text,
+                                                message):
+    path = tmp_path / "params.json"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run(capsys, "compute", "wavefunction", "--m", "3",
+                         "--x", "1,2", "--params", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: " + message.format(path=str(path)) + "\n"
+
+
 def test_coincident_values_in_params_still_computable(capsys):
     # sanity: a plain numeric run succeeds end to end
     code, out, _ = run(capsys, "compute", "family", "--m", "5", "--x", "2,5")
@@ -275,6 +312,7 @@ def test_golden_output(capsys, argv, sha256, size):
     "compute dwbp-det --n 2 --kind bogus",
     "compute skew --kind X --m 5 --x 1,3,5 --xbar 2,4",
     "compute skew --m 5 --x 1,3 --xbar 2,4",
+    "compute skew --m 5 --x 1,3,5",
     "compute family --x 1,2",
     "compute family --kind H --m 4 --x 1,2",
     "compute wavefunction --m 4 --x 1,a",

@@ -226,6 +226,16 @@ def test_params_that_do_not_reduce_mod_p_run_over_q():
     assert {r.breakdown["field"] for r in reports} == {"Q"}
 
 
+@pytest.mark.parametrize("name", ["rll", "correspondence", "dwbp"])
+def test_symbolic_params_in_eval_mode_run_over_q(name):
+    # a symbolic override has no image in GF(p); its points stay over Q
+    report = run_check(CheckSpec(name, m=3, n=2, mode="eval", seed=1,
+                                 trials=1,
+                                 params=ParamSet.symbolic_canonical(2)))
+    assert report.passed, report.witness
+    assert report.breakdown["field"] == "Q"
+
+
 def test_empty_lattice_pairing_runs_over_residues():
     # the 0x0 determinant is the int 1, which a residue can divide
     report = run_check(CheckSpec("pairing", m=0, n=0, mode="eval", trials=1))
