@@ -26,8 +26,8 @@ from .mprod import (k_closed_form, k_prefactor, mp_build, mp_diagonalized,
 from .params import ParamError, ParamSet
 from .ring import (QQ, MultiPoly, NonExactDivision, RatFunc, RingError,
                    VarTable, canonical_vartable, determinant, exact_divide,
-                   poly_from_json, poly_to_json, random_point,
-                   ratfunc_from_json, ratfunc_to_json)
+                   poly_from_json, poly_to_json, ratfunc_from_json,
+                   ratfunc_to_json)
 from .sympoly import (config_to_young, degeneration_rhs, family_poly,
                       grothendieck_det, interlaces, skew_factor,
                       young_to_config)

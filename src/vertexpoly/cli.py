@@ -119,10 +119,7 @@ def _load_params(path):
             values[key] = QQ(int(num), int(den)) if den else QQ(int(num))
         except (ValueError, ZeroDivisionError):
             raise UsageError(f"parameter {key} is not a rational p/q string")
-    try:
-        return ParamSet(*(values[k] for k in _PARAM_KEYS))
-    except ParamError as exc:
-        raise UsageError(f"invalid parameters: {exc}")
+    return ParamSet(*(values[k] for k in _PARAM_KEYS))
 
 
 def _numeric_spectral(seed, n):

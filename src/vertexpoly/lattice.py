@@ -109,11 +109,6 @@ class HoleConfig:
             out &= ~(1 << (v - 1))
         return out
 
-    def complement(self):
-        empty = set(self.xbar)
-        return ParticleConfig(self.m, tuple(v for v in range(1, self.m + 1)
-                                            if v not in empty))
-
 
 def all_particle_configs(m, n):
     """All n-particle configurations on m sites, lexicographically."""
@@ -279,7 +274,7 @@ def _wave_kind(kind):
         raise RingError(f"unknown wavefunction kind {kind!r}") from None
 
 
-def _sweep(op, bits, us, m, p, transpose=False):
+def _sweep(op, bits, us, m, p, transpose):
     """The basis state `bits` with op(u) applied for each u in turn."""
     s = StateVector.basis(m, bits, p.one())
     for u in us:

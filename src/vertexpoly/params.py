@@ -31,7 +31,12 @@ _R0, _R1 = Residue(0), Residue(1)
 
 
 class ParamSet:
-    """The weight parameters, with optional site inhomogeneities w."""
+    """The weight parameters, with optional site inhomogeneities w.
+
+    f = -cd/a and e = -tcd/b are derived, so both constraints hold and a
+    zero a or b fails the division.  e and f vanish only with t, c or d,
+    so only those three are checked to be nonzero; t = 1 is excluded.
+    """
 
     __slots__ = ("t", "a", "b", "c", "d", "e", "f", "w", "symbolic")
 
@@ -61,13 +66,8 @@ class ParamSet:
         return obj
 
     def _validate(self):
-        if self.c * self.d + self.a * self.f != 0:
-            raise ParamError("constraint cd + af = 0 violated")
-        if self.t * self.c * self.d + self.b * self.e != 0:
-            raise ParamError("constraint t*cd + be = 0 violated")
-        for name in ("t", "a", "b", "c", "d", "e", "f"):
-            v = getattr(self, name)
-            if is_zero(v):
+        for name in ("t", "c", "d"):
+            if is_zero(getattr(self, name)):
                 raise ParamError(f"parameter {name} must be nonzero")
         if self.t == 1:
             raise ParamError("t = 1 is excluded")

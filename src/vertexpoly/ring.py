@@ -47,7 +47,6 @@ growing rational.
 from __future__ import annotations
 
 import numbers
-import random
 from collections.abc import Mapping
 from functools import reduce
 from heapq import heappop, heappush, heapreplace
@@ -72,7 +71,6 @@ __all__ = [
     "exact_divide",
     "try_exact_divide",
     "determinant",
-    "random_point",
     "random_rational",
     "distinct_rationals",
     "is_zero",
@@ -225,15 +223,13 @@ def _poly(vt, lay, exps, coeffs, n, d):
 
 
 def _normalized(vt, lay, exps, ints, n, d):
-    """_poly for nonzero integer coefficients with any content and n/d."""
+    """_poly for nonzero integer coefficients, any content, and n/d, d > 0."""
     g = gcd(*ints)
     if ints[0] < 0:
         g = -g
     if g != 1:
         ints = [c // g for c in ints]
         n *= g
-    if d < 0:
-        n, d = -n, -d
     g = gcd(n, d)
     if g != 1:
         n //= g
@@ -477,15 +473,7 @@ class MultiPoly:
             if other == 0:
                 return not self._e
             return self._e == [0] and (self._n, self._d) == _ratio(other)
-        if isinstance(other, RatFunc):
-            return other == self
         return NotImplemented
-
-    def __hash__(self):
-        # total degrees do not depend on the field width
-        ds = self._lay.deg_shift
-        return hash((self.vars, self._n, self._d,
-                     tuple(e >> ds for e in self._e), tuple(self._c)))
 
     # -- evaluation / substitution --------------------------------------
 
@@ -801,8 +789,6 @@ class RatFunc:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.num is other.num and self.den is other.den:
-            return True
         return self.num * other.den == other.num * self.den
 
     # -- evaluation / substitution --------------------------------------
@@ -1033,23 +1019,7 @@ def _laplace(rows, zero):
     return minors[tuple(range(n))]
 
 
-# -- randomized evaluation points ---------------------------------------
-
-_MAX_RESAMPLE = 100
-
-
-def random_point(seed, vartable, avoid=()):
-    """Deterministic-from-seed rational point avoiding given zero loci.
-
-    Numerators and denominators are uniform in [1, 10^6]; the point is
-    resampled (at most 100 rounds) until no avoid-polynomial vanishes.
-    """
-    rng = random.Random(seed)
-    for _ in range(_MAX_RESAMPLE):
-        point = {name: random_rational(rng) for name in vartable.names}
-        if all(p.evaluate(point) != 0 for p in avoid):
-            return point
-    raise RingError("random_point: resampling exhausted")
+# -- seeded rational draws ----------------------------------------------
 
 
 def random_rational(rng):
