@@ -71,15 +71,6 @@ def test_missing_required_flag_is_usage_error(capsys):
     assert code == 2 and "--n" in err
 
 
-def test_bad_params_file_is_usage_error(tmp_path, capsys):
-    bad = tmp_path / "p.json"
-    bad.write_text(json.dumps({"t": "1", "a": "2", "b": "3", "c": "4",
-                               "d": "5"}))
-    code, _, err = run(capsys, "compute", "wavefunction", "--m", "3",
-                       "--x", "1,2", "--params", str(bad))
-    assert code == 2 and "invalid parameters" in err
-
-
 _PARAMS = {"t": "1/2", "a": "2", "b": "3", "c": "4", "d": "5"}
 
 
@@ -105,7 +96,7 @@ _PARAMS = {"t": "1/2", "a": "2", "b": "3", "c": "4", "d": "5"}
     (json.dumps(dict(_PARAMS, a="two")),
      "parameter a is not a rational p/q string"),
 ], ids=["t=1", "t=0", "a=0", "b=0", "c=0", "d=0", "missing-file",
-        "invalid-json", "wrong-keys", "not-p/q"])
+        "invalid-json", "wrong-keys", "not-rational"])
 def test_parameter_file_errors_are_usage_errors(tmp_path, capsys, text,
                                                 message):
     path = tmp_path / "params.json"

@@ -121,6 +121,9 @@ def test_ratfunc_equality_by_cross_multiplication(vt):
     lhs = RatFunc(one, x + y) + RatFunc(one, x - y)
     rhs = RatFunc(2 * x, (x + y) * (x - y))
     assert lhs == rhs
+    # a polynomial compares with a rational function from either side
+    assert x - y == RatFunc(x - y) and RatFunc(x - y) == x - y
+    assert x - y != lhs and lhs != x - y and not x - y == lhs
 
 
 def test_ratfunc_negative_powers(vt):
@@ -194,6 +197,9 @@ def test_distinct_rationals_are_seeded_and_pairwise_distinct():
     assert all(isinstance(v, QQ) and v > 0 for v in draws)
     # the first draw is the single draw of the same stream
     assert draws[0] == random_rational(random.Random(3))
+    # pinned: seeded values stay the same across versions
+    assert distinct_rationals(random.Random(5), 3) == [
+        QQ(326580, 133927), QQ(777821, 375952), QQ(833821, 723986)]
 
 
 def test_canonical_vartable_ordering():
