@@ -4,12 +4,12 @@ Each check computes one identity along two independent paths and compares
 with exact equality (zero tolerance).  Exact mode works symbolically over
 rational functions; eval mode evaluates at `trials` seeded random points.
 
-Eval mode and its field.  The seven lattice checks (correspondence,
-pairing, branching, mp-algebra, rll, ybe, dwbp) draw each point over Q and
-then map the parameters, the spectral list and the inhomogeneities into
-GF(p), p = 2^61 - 1, with `Residue.of`; both routes of every identity then
-run on residues, so no rational grows.  The draws themselves (and their
-salts) are the ones an evaluation over Q would use.  Soundness:
+Eval mode and its field.  Eight checks (correspondence, pairing,
+branching, degeneration, mp-algebra, rll, ybe, dwbp) draw each point over
+Q and then map the parameters, the spectral list, the inhomogeneities and
+degeneration's beta into GF(p), p = 2^61 - 1, with `Residue.of`; both
+routes of every identity then run on residues, so no rational grows.  The draws themselves (and
+their salts) are the ones an evaluation over Q would use.  Soundness:
 
 - each draw is n/d with 1 <= n, d <= 10^6 < p, so no draw is 0 mod p, and
   two draws are congruent only if they are equal over Q, because
@@ -21,13 +21,22 @@ salts) are the ones an evaluation over Q would use.  Soundness:
 - by Schwartz-Zippel (Schwartz 1980; Zippel 1979) a nonzero difference of
   degree deg vanishes at a random point with probability about deg/p
   (about 10^-17 here) per trial.  A denominator that vanishes mod p but
-  not over Q is as unlikely, and stays a computation error.
+  not over Q is as unlikely, and stays a computation error;
+- `degeneration` evaluates the first family G at t = 0 itself.  With
+  a = c = d = 1 and b = t*beta, every t != 0 gives e = -tcd/b = -1/beta
+  and f = -cd/a = -1, so the parameter family extends to t = 0 as
+  (t, a, b, c, d, e, f) = (0, 1, 0, 1, 1, -1/beta, -1).  `family_poly`
+  only multiplies by the site forms and G has no 1/t; its one division is
+  by prod (u_j - u_k)(t u_k - u_j), which at t = 0 is
+  prod (u_j - u_k)(-u_j), nonzero for distinct nonzero u.  So G is regular
+  at t = 0 and its value there is what exact mode's substitution t -> 0
+  gives.  On the Grothendieck side z_j = -1/beta - 1/u_j is nonzero mod p,
+  because u_j + beta has a positive numerator below 2 * 10^12 < p, and
+  distinct draws stay distinct, so the Vandermonde in z is nonzero mod p.
 
 A numeric params override with a scalar whose numerator or denominator p
 divides has no faithful image in GF(p); such a spec's points stay over Q,
-through the same code.  `degeneration` stays over Q because it is symbolic
-in t (a substitution t -> 0, not an evaluation) and the ring has no
-residue coefficients; `ik-properties` stays over Q because its degree
+through the same code.  `ik-properties` stays over Q because its degree
 property lifts the numeric point into rational-function constants in w_N.
 `CheckReport.breakdown["field"]` records which field ran.
 
@@ -54,8 +63,8 @@ from .lattice import (_WAVE_KINDS, ParticleConfig, all_particle_configs,
 from .mprod import (k_closed_form, k_prefactor, mat_add, mat_eq, mat_mul,
                     mat_scale, mp_build, raising_parts, trace_wavefunction)
 from .params import ParamSet
-from .ring import (PRIME, RatFunc, Residue, RingError, canonical_vartable,
-                   distinct_rationals, random_rational)
+from .ring import (PRIME, QQ, RatFunc, Residue, RingError,
+                   canonical_vartable, distinct_rationals, random_rational)
 from .sympoly import (degeneration_rhs, family_poly, interlaces, skew_factor)
 
 __all__ = ["CheckSpec", "CheckReport", "CHECK_NAMES", "SpecError",
@@ -67,7 +76,8 @@ _CONFIG_SAMPLE_LIMIT = 500
 
 # the checks whose eval mode runs over GF(PRIME)
 _RESIDUE_CHECKS = frozenset({"correspondence", "pairing", "branching",
-                             "mp-algebra", "rll", "ybe", "dwbp"})
+                             "degeneration", "mp-algebra", "rll", "ybe",
+                             "dwbp"})
 
 
 class SpecError(RingError):
@@ -301,36 +311,47 @@ def check_branching(spec):
 
 
 def check_degeneration(spec):
-    """t -> 0 specialization of the first family gives the bialternant form.
+    """The first family at t = 0 gives the bialternant form.
 
-    Always symbolic in t (the limit is a substitution, not an evaluation);
-    eval mode makes the spectral parameters and beta numeric.
+    At a = c = d = 1, b = t*beta the family G at t = 0 equals
+    `degeneration_rhs`.  Exact mode builds G symbolically in t and
+    substitutes t = 0.  Eval mode evaluates G at the t = 0 parameter set
+    itself (the module docstring says why that is the same value), with
+    seeded spectral parameters and beta, over GF(PRIME) unless `_field`
+    says Q.
     """
     rec = _Recorder()
     m, n = spec.m, spec.n
+    positions = _position_tuples(m, n, _rng(spec, 13))
 
-    def run_at(vt, us, beta, tag):
-        one = RatFunc(vt.const(1))
-        t = RatFunc(vt.var("t"))
-        p = ParamSet(t, one, t * beta, one, one)
-        for pos in _position_tuples(m, n, _rng(spec, 13)):
+    def run_at(p, us, beta, tag):
+        for pos in positions:
             config = ParticleConfig(m, pos)
-            lhs = family_poly("G", config, us, p).substitute({"t": 0})
+            lhs = family_poly("G", config, us, p)
+            if p.symbolic:
+                lhs = lhs.substitute({"t": 0})
             rhs = degeneration_rhs(config, us, beta, m)
             rec.compare(lhs, rhs, config=pos, trial=tag)
 
     if spec.mode == "exact":
         vt = canonical_vartable(n_u=n, free_params=("t",), beta=True)
+        one = RatFunc(vt.const(1))
+        t = RatFunc(vt.var("t"))
+        beta = RatFunc(vt.var("beta"))
         us = [RatFunc(vt.var(f"u{j}")) for j in range(1, n + 1)]
-        run_at(vt, us, RatFunc(vt.var("beta")), "symbolic")
-    else:
-        vt = canonical_vartable(free_params=("t",))
-        lift = lambda v: RatFunc(vt.const(v))
-        for trial in range(spec.trials):
-            rng = _rng(spec, 1000 + trial)
-            us = [lift(v) for v in distinct_rationals(rng, n)]
-            beta = lift(random_rational(rng))
-            run_at(vt, us, beta, trial)
+        run_at(ParamSet(t, one, t * beta, one, one), us, beta, "symbolic")
+        return rec
+    residues = _field(spec) != "Q"
+    zero, one = QQ(0), QQ(1)
+    for trial in range(spec.trials):
+        rng = _rng(spec, 1000 + trial)
+        us = distinct_rationals(rng, n)
+        beta = random_rational(rng)
+        p = ParamSet.unchecked(zero, one, zero, one, one, -one / beta, -one)
+        if residues:
+            p, us, beta = (p.map(Residue.of), [Residue.of(u) for u in us],
+                           Residue.of(beta))
+        run_at(p, us, beta, trial)
     return rec
 
 

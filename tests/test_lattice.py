@@ -291,3 +291,19 @@ def test_row_operator_computes_each_local_weight_once(monkeypatch, n_w,
     out = apply_row_operator("B", QQ(2, 9), s, p)
     assert particle_counts(out) == {4}
     assert len(calls) <= budget
+
+
+def test_state_vectors_differ_in_support_size_or_type():
+    s = StateVector(3, {0b001: QQ(2), 0b100: QQ(1)})
+    assert s == StateVector(3, {0b001: QQ(2), 0b100: QQ(1), 0b010: QQ(0)})
+    others = [StateVector(3, {0b001: QQ(2), 0b010: QQ(1)}),
+              StateVector(4, {0b001: QQ(2), 0b100: QQ(1)}),
+              {0b001: QQ(2), 0b100: QQ(1)}]
+    for other in others:
+        assert (s == other) is False and (s != other) is True, other
+
+
+def test_state_vector_repr_counts_nonzero_states():
+    assert repr(StateVector(3, {1: QQ(2), 4: QQ(0), 5: QQ(1)})) == \
+        "StateVector(m=3, 2 states)"
+    assert repr(StateVector(2)) == "StateVector(m=2, 0 states)"

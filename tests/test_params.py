@@ -76,3 +76,12 @@ def test_symbolic_over_shared_table():
     p = ParamSet.symbolic_over(vt, n_w=2)
     assert p.vars is vt
     assert len(p.w) == 2
+
+
+def test_repr_names_the_mode_and_every_weight():
+    p = ParamSet(QQ(1, 2), QQ(1), QQ(2), QQ(3), QQ(5))
+    assert repr(p) == ("ParamSet<numeric>(t=1/2, a=1, b=2, c=3, d=5, "
+                       "e=-15/4, f=-15)")
+    assert repr(ParamSet.symbolic_canonical()) == (
+        "ParamSet<symbolic>(t=t, a=a, b=b, c=c, d=d, e=(-t*c*d) / (b), "
+        "f=(-c*d) / (a))")

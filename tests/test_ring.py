@@ -6,12 +6,12 @@ from collections.abc import Mapping
 
 import pytest
 
-from vertexpoly.ring import (QQ, MultiPoly, NonExactDivision, RatFunc,
-                             RingError, VarTable, canonical_vartable,
-                             determinant, distinct_rationals, exact_divide,
-                             poly_from_json, poly_to_json, random_rational,
-                             ratfunc_from_json, ratfunc_to_json,
-                             try_exact_divide)
+from vertexpoly.ring import (PRIME, QQ, MultiPoly, NonExactDivision,
+                             RatFunc, Residue, RingError, VarTable,
+                             canonical_vartable, determinant,
+                             distinct_rationals, exact_divide, poly_from_json,
+                             poly_to_json, random_rational, ratfunc_from_json,
+                             ratfunc_to_json, try_exact_divide)
 
 
 def random_poly(vt, rng, n_terms=4, max_exp=3):
@@ -229,3 +229,27 @@ def test_public_values_are_rationals(vt):
     assert isinstance(vt.const(4).constant_value(), QQ)
     value = p.evaluate({"x": 1, "y": 5, "z": 2})
     assert value == QQ(25, 2) and isinstance(value, QQ)
+
+
+def test_polynomial_over_polynomial_is_the_equal_ratfunc(vt):
+    x, y = vt.var("x"), vt.var("y")
+    q = (x * x - y * y) / (x - y)
+    assert isinstance(q, RatFunc)
+    assert q == RatFunc(x + y)
+    assert (x + 1) / (x - 1) == RatFunc(x + 1, x - 1)
+
+
+def test_polynomial_equals_a_rational(vt):
+    x = vt.var("x")
+    assert vt.zero() == 0 and vt.zero() == QQ(0) and not vt.zero() != 0
+    assert vt.const(QQ(3, 2)) == QQ(3, 2) and vt.const(3) == 3
+    assert vt.const(3) != QQ(3, 2)
+    assert x != 0 and x != 1 and x + 1 != 1
+
+
+def test_polynomial_and_residue_reprs(vt):
+    x, y = vt.var("x"), vt.var("y")
+    assert repr(x * x + 2 * y) == "MultiPoly(x^2 + 2*y)"
+    assert repr(vt.const(QQ(3, 2))) == "MultiPoly(3/2)"
+    assert repr(Residue(5)) == "Residue(5)"
+    assert repr(Residue(-1)) == f"Residue({PRIME - 1})"

@@ -211,3 +211,43 @@ def test_degeneration_matches_t_to_zero_limit():
     config = ParticleConfig(4, (2, 3))
     lhs = family_poly("G", config, us, p).substitute({"t": 0})
     assert lhs == degeneration_rhs(config, us, beta, 4)
+
+
+# the a = c = d = 1, b = t*beta family at t = 0 itself, the parameter set
+# eval-mode `degeneration` evaluates the first family at
+_T0_BETA = QQ(3, 5)
+_T0_US = [QQ(2, 3), QQ(-5, 7), QQ(11, 4)]
+_T0_SET = dict(t=QQ(0), a=QQ(1), b=QQ(0), c=QQ(1), d=QQ(1), e=-1 / _T0_BETA,
+               f=QQ(-1))
+
+
+def _t0_params(**shift):
+    vals = {k: v + shift.get(k, 0) for k, v in _T0_SET.items()}
+    return ParamSet.unchecked(*(vals[k] for k in "tabcdef"))
+
+
+@pytest.mark.parametrize("m, n", [(4, 2), (5, 3)])
+def test_family_at_the_t0_set_is_the_symbolic_t_to_zero_limit(m, n):
+    vt = canonical_vartable(n_u=n, free_params=("t",), beta=True)
+    one, t = RatFunc(vt.const(1)), RatFunc(vt.var("t"))
+    beta = RatFunc(vt.var("beta"))
+    us = [RatFunc(vt.var(f"u{j}")) for j in range(1, n + 1)]
+    p = ParamSet(t, one, t * beta, one, one)
+    point = dict({f"u{j}": u for j, u in enumerate(_T0_US[:n], 1)},
+                 t=0, beta=_T0_BETA)
+    for config in all_particle_configs(m, n):
+        limit = family_poly("G", config, us, p).substitute({"t": 0})
+        at_t0 = family_poly("G", config, _T0_US[:n], _t0_params())
+        assert at_t0 == limit.evaluate(point), config.x
+        assert at_t0 == degeneration_rhs(config, _T0_US[:n], _T0_BETA, m)
+
+
+# d is left out: the family G never reads it
+@pytest.mark.parametrize("name", ["t", "a", "b", "c", "e", "f"])
+@pytest.mark.parametrize("m, n", [(4, 2), (5, 3)])
+def test_a_perturbed_t0_set_misses_the_grothendieck_side(m, n, name):
+    us = _T0_US[:n]
+    bad = _t0_params(**{name: 1})
+    assert any(family_poly("G", config, us, bad)
+               != degeneration_rhs(config, us, _T0_BETA, m)
+               for config in all_particle_configs(m, n))

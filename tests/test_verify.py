@@ -201,8 +201,9 @@ def test_failing_eval_witnesses_print_residues():
         assert v.isdigit() and int(v) < PRIME, v
 
 
-_LATTICE_CHECKS = {"correspondence", "pairing", "branching", "mp-algebra",
-                   "rll", "ybe", "dwbp"}
+# every check but ik-properties runs its eval points over GF(2^61-1)
+_GF_CHECKS = {"correspondence", "pairing", "branching", "degeneration",
+              "mp-algebra", "rll", "ybe", "dwbp"}
 
 
 @pytest.mark.parametrize("mode", ["exact", "eval"])
@@ -211,7 +212,7 @@ def test_report_records_the_scalar_field(mode):
                                        trials=1))
     assert {r.name for r in reports} == set(CHECK_NAMES)
     for r in reports:
-        over_gf = mode == "eval" and r.name in _LATTICE_CHECKS
+        over_gf = mode == "eval" and r.name in _GF_CHECKS
         assert r.breakdown["field"] == ("GF(2^61-1)" if over_gf else "Q"), \
             r.name
         assert "field" not in json.loads(r.to_json())
@@ -224,6 +225,19 @@ def test_params_that_do_not_reduce_mod_p_run_over_q():
                                        trials=2, params=params))
     assert all(r.passed for r in reports), [r.witness for r in reports]
     assert {r.breakdown["field"] for r in reports} == {"Q"}
+
+
+@pytest.mark.parametrize("m, n, count", [(6, 3, 100), (7, 3, 175),
+                                         (5, 5, 5), (0, 0, 5), (3, 0, 5)])
+def test_eval_degeneration_passes_over_both_fields(m, n, count):
+    # the override's a = p has residue 0, so its spec stays over Q
+    over_q = ParamSet(QQ(1, 2), QQ(PRIME), QQ(5), QQ(7), QQ(11))
+    for params, field in ((None, "GF(2^61-1)"), (over_q, "Q")):
+        report = run_check(CheckSpec("degeneration", m=m, n=n, mode="eval",
+                                     seed=1, trials=5, params=params))
+        assert report.passed, report.witness
+        assert report.breakdown["comparisons"] == count
+        assert report.breakdown["field"] == field
 
 
 @pytest.mark.parametrize("name", ["rll", "correspondence", "dwbp"])
