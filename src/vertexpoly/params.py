@@ -4,7 +4,11 @@ The weight parameters t, a, b, c, d, e, f must satisfy cd + af = 0 and
 t*cd + be = 0 exactly.  The constraint surface is rationally parameterized
 by the five free values (t, a, b, c, d): we always derive f = -cd/a and
 e = -t*cd/b, which makes invalid parameter sets unrepresentable except
-through the explicit `unchecked` constructor used for fault injection.
+through the explicit `unchecked` constructor.  That constructor serves fault
+injection, builds the t = 0 set the Grothendieck degeneration is evaluated
+at (which the constructor rejects, since t = 0 and b = 0), attaches
+inhomogeneities to a drawn set, and carries a set into another scalar field
+(`map`), in each case without deriving e and f again.
 
 A ParamSet is either numeric (big-rational scalars, or `Residue` scalars
 once mapped into GF(2^61 - 1) with `map`) or symbolic (RatFunc scalars over
@@ -53,10 +57,12 @@ class ParamSet:
 
     @classmethod
     def unchecked(cls, t, a, b, c, d, e, f, w=None):
-        """Explicit (possibly constraint-violating) parameters.
+        """Explicit parameters, taken as given with no derivation or check.
 
-        Used for fault injection and for studying the identity failure
-        before the constraints are imposed.
+        Used for fault injection (a constraint-violating e or f), for the
+        t = 0 set (0, 1, 0, 1, 1, -1/beta, -1) of the Grothendieck
+        degeneration, which the constructor rejects, to attach
+        inhomogeneities w to an existing set, and by `map`.
         """
         obj = object.__new__(cls)
         obj.t, obj.a, obj.b, obj.c, obj.d = t, a, b, c, d

@@ -22,17 +22,19 @@ their salts) are the ones an evaluation over Q would use.  Soundness:
   degree deg vanishes at a random point with probability about deg/p
   (about 10^-17 here) per trial.  A denominator that vanishes mod p but
   not over Q is as unlikely, and stays a computation error;
-- `degeneration` evaluates the first family G at t = 0 itself.  With
-  a = c = d = 1 and b = t*beta, every t != 0 gives e = -tcd/b = -1/beta
-  and f = -cd/a = -1, so the parameter family extends to t = 0 as
-  (t, a, b, c, d, e, f) = (0, 1, 0, 1, 1, -1/beta, -1).  `family_poly`
-  only multiplies by the site forms and G has no 1/t; its one division is
-  by prod (u_j - u_k)(t u_k - u_j), which at t = 0 is
+- `degeneration` evaluates the first family G at t = 0 itself, in both
+  modes.  With a = c = d = 1 and b = t*beta, every t != 0 gives
+  e = -tcd/b = -1/beta and f = -cd/a = -1, so the parameter family extends
+  to t = 0 as (t, a, b, c, d, e, f) = (0, 1, 0, 1, 1, -1/beta, -1).
+  `family_poly` only multiplies by the site forms and G has no 1/t; its one
+  division is by prod (u_j - u_k)(t u_k - u_j), which at t = 0 is
   prod (u_j - u_k)(-u_j), nonzero for distinct nonzero u.  So G is regular
-  at t = 0 and its value there is what exact mode's substitution t -> 0
-  gives.  On the Grothendieck side z_j = -1/beta - 1/u_j is nonzero mod p,
-  because u_j + beta has a positive numerator below 2 * 10^12 < p, and
-  distinct draws stay distinct, so the Vandermonde in z is nonzero mod p.
+  at t = 0 and its value there is the limit t -> 0 of the family built
+  symbolically in t.  Exact mode takes u1..un and beta as symbols; eval
+  mode draws them.  On the Grothendieck side z_j = -1/beta - 1/u_j is
+  nonzero mod p, because u_j + beta has a positive numerator below
+  2 * 10^12 < p, and distinct draws stay distinct, so the Vandermonde in z
+  is nonzero mod p.
 
 A numeric params override with a scalar whose numerator or denominator p
 divides has no faithful image in GF(p); such a spec's points stay over Q,
@@ -40,19 +42,16 @@ through the same code.  `ik-properties` stays over Q because its degree
 property lifts the numeric point into rational-function constants in w_N.
 `CheckReport.breakdown["field"]` records which field ran.
 
-Checks are independent; `run_checks` fans them out over a thread pool capped
-by the VERTEXPOLY_THREADS environment variable and merges reports back in
-the order requested.  Given the same CheckSpec, a report is reproducible
-except for its wall-time field.
+Checks are independent; `run_checks` runs them one after another on the
+calling thread, in the order requested.  Given the same CheckSpec, a report
+is reproducible except for its wall-time field.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
@@ -63,7 +62,7 @@ from .lattice import (_WAVE_KINDS, ParticleConfig, all_particle_configs,
 from .mprod import (k_closed_form, k_prefactor, mat_add, mat_eq, mat_mul,
                     mat_scale, mp_build, raising_parts, trace_wavefunction)
 from .params import ParamSet
-from .ring import (PRIME, QQ, RatFunc, Residue, RingError,
+from .ring import (PRIME, RatFunc, Residue, RingError,
                    canonical_vartable, distinct_rationals, random_rational)
 from .sympoly import (degeneration_rhs, family_poly, interlaces, skew_factor)
 
@@ -314,44 +313,36 @@ def check_degeneration(spec):
     """The first family at t = 0 gives the bialternant form.
 
     At a = c = d = 1, b = t*beta the family G at t = 0 equals
-    `degeneration_rhs`.  Exact mode builds G symbolically in t and
-    substitutes t = 0.  Eval mode evaluates G at the t = 0 parameter set
-    itself (the module docstring says why that is the same value), with
-    seeded spectral parameters and beta, over GF(PRIME) unless `_field`
-    says Q.
+    `degeneration_rhs`.  Both modes evaluate G at the t = 0 parameter set
+    itself (the module docstring says why that is the limit t -> 0): exact
+    mode at symbolic u1..un and beta, eval mode at seeded spectral
+    parameters and beta, over GF(PRIME) unless `_field` says Q.
     """
     rec = _Recorder()
     m, n = spec.m, spec.n
     positions = _position_tuples(m, n, _rng(spec, 13))
-
-    def run_at(p, us, beta, tag):
+    if spec.mode == "exact":
+        vt = canonical_vartable(n_u=n, free_params=(), beta=True)
+        points = [([RatFunc(vt.var(f"u{j}")) for j in range(1, n + 1)],
+                   RatFunc(vt.var("beta")), "symbolic")]
+    else:
+        residues = _field(spec) != "Q"
+        points = []
+        for trial in range(spec.trials):
+            rng = _rng(spec, 1000 + trial)
+            us = distinct_rationals(rng, n)
+            beta = random_rational(rng)
+            if residues:
+                us, beta = [Residue.of(u) for u in us], Residue.of(beta)
+            points.append((us, beta, trial))
+    for us, beta, tag in points:
+        one, zero = beta ** 0, 0 * beta
+        p = ParamSet.unchecked(zero, one, zero, one, one, -one / beta, -one)
         for pos in positions:
             config = ParticleConfig(m, pos)
-            lhs = family_poly("G", config, us, p)
-            if p.symbolic:
-                lhs = lhs.substitute({"t": 0})
-            rhs = degeneration_rhs(config, us, beta, m)
-            rec.compare(lhs, rhs, config=pos, trial=tag)
-
-    if spec.mode == "exact":
-        vt = canonical_vartable(n_u=n, free_params=("t",), beta=True)
-        one = RatFunc(vt.const(1))
-        t = RatFunc(vt.var("t"))
-        beta = RatFunc(vt.var("beta"))
-        us = [RatFunc(vt.var(f"u{j}")) for j in range(1, n + 1)]
-        run_at(ParamSet(t, one, t * beta, one, one), us, beta, "symbolic")
-        return rec
-    residues = _field(spec) != "Q"
-    zero, one = QQ(0), QQ(1)
-    for trial in range(spec.trials):
-        rng = _rng(spec, 1000 + trial)
-        us = distinct_rationals(rng, n)
-        beta = random_rational(rng)
-        p = ParamSet.unchecked(zero, one, zero, one, one, -one / beta, -one)
-        if residues:
-            p, us, beta = (p.map(Residue.of), [Residue.of(u) for u in us],
-                           Residue.of(beta))
-        run_at(p, us, beta, trial)
+            rec.compare(family_poly("G", config, us, p),
+                        degeneration_rhs(config, us, beta, m),
+                        config=pos, trial=tag)
     return rec
 
 
@@ -482,24 +473,12 @@ def run_check(spec):
                        {"reason": "no comparisons made"}, ms=ms)
 
 
-def _pool_size():
-    env = os.environ.get("VERTEXPOLY_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise SpecError("VERTEXPOLY_THREADS must be an integer, "
-                            f"got {env!r}") from None
-    return min(8, os.cpu_count() or 1)
-
-
 def run_checks(specs, threads=None):
-    """Run checks concurrently; reports come back in the order requested."""
-    workers = threads or _pool_size()
-    if workers == 1 or len(specs) == 1:
-        return [run_check(s) for s in specs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_check, specs))
+    """Run checks one after another; reports come back in the order requested.
+
+    `threads` is accepted and ignored, for callers that still pass it.
+    """
+    return [run_check(s) for s in specs]
 
 
 def default_suite(m=4, n=2, mode="eval", seed=0, trials=5, params=None):

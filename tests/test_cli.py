@@ -169,13 +169,6 @@ def test_verify_failure_exit_three(monkeypatch, capsys):
     assert json.loads(out.strip())["pass"] is False
 
 
-def test_non_integer_thread_count_is_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("VERTEXPOLY_THREADS", "abc")
-    code, out, err = run(capsys, "verify", "rll")
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and "VERTEXPOLY_THREADS" in err
-
-
 def test_vanishing_inversion_denominator_is_computation_error(tmp_path,
                                                             capsys):
     # t = u2/u1 at the spectral draws of seed 0 makes the permutation

@@ -7,7 +7,8 @@ import, including one inside a module-level try block, must be read
 somewhere in the module or be listed in its `__all__`.  Every name listed
 in a module's `__all__` must be an attribute of the imported module.
 Every module-level private name (a `_name` bound by def, class or
-assignment) must be read somewhere in the package.
+assignment) must be read somewhere in the package.  No module imports a
+thread or process pool: every check runs on the calling thread.
 """
 
 import ast
@@ -91,3 +92,26 @@ def test_every_private_module_name_is_read():
     dead = [f"{name}:{line} {ident}" for name, tree in trees.items()
             for ident, line in _private_definitions(tree) if ident not in read]
     assert not dead, "private names never read: " + ", ".join(dead)
+
+
+
+_CONCURRENCY_MODULES = {"threading", "concurrent", "multiprocessing"}
+
+
+def _imported_modules(tree):
+    """(absolute module name, line) for every import anywhere in the module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((alias.name, node.lineno) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module, node.lineno
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_imports_concurrency(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [f"{path.name}:{line} {name}"
+             for name, line in _imported_modules(tree)
+             if name.split(".")[0] in _CONCURRENCY_MODULES]
+    assert not found, "concurrency imports: " + ", ".join(found)

@@ -226,17 +226,23 @@ def _t0_params(**shift):
     return ParamSet.unchecked(*(vals[k] for k in "tabcdef"))
 
 
-@pytest.mark.parametrize("m, n", [(4, 2), (5, 3)])
+@pytest.mark.parametrize("m, n", [(4, 2), (4, 3), (5, 3)])
 def test_family_at_the_t0_set_is_the_symbolic_t_to_zero_limit(m, n):
     vt = canonical_vartable(n_u=n, free_params=("t",), beta=True)
     one, t = RatFunc(vt.const(1)), RatFunc(vt.var("t"))
+    zero = RatFunc(vt.const(0))
     beta = RatFunc(vt.var("beta"))
     us = [RatFunc(vt.var(f"u{j}")) for j in range(1, n + 1)]
     p = ParamSet(t, one, t * beta, one, one)
+    # the t = 0 set with symbolic beta, as exact-mode `degeneration` builds it
+    p0 = ParamSet.unchecked(zero, one, zero, one, one, -one / beta, -one)
     point = dict({f"u{j}": u for j, u in enumerate(_T0_US[:n], 1)},
                  t=0, beta=_T0_BETA)
     for config in all_particle_configs(m, n):
         limit = family_poly("G", config, us, p).substitute({"t": 0})
+        symbolic_t0 = family_poly("G", config, us, p0)
+        assert symbolic_t0 == limit, config.x
+        assert str(symbolic_t0) == str(limit), config.x
         at_t0 = family_poly("G", config, _T0_US[:n], _t0_params())
         assert at_t0 == limit.evaluate(point), config.x
         assert at_t0 == degeneration_rhs(config, _T0_US[:n], _T0_BETA, m)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import threading
 
 import pytest
 
@@ -52,12 +53,30 @@ def test_jsonl_report_shape():
         assert obj["pass"] is True
 
 
-def test_parallel_and_serial_agree():
+def _outcome(report):
+    return (report.name, report.passed, report.witness, report.breakdown)
+
+
+def test_run_checks_is_run_check_in_order():
     specs = default_suite(m=3, n=1, mode="eval", seed=3, trials=1)
-    serial = run_checks(specs, threads=1)
-    parallel = run_checks(specs, threads=4)
-    assert [(r.name, r.passed) for r in serial] == \
-        [(r.name, r.passed) for r in parallel]
+    assert [_outcome(r) for r in run_checks(specs)] == \
+        [_outcome(run_check(s)) for s in specs]
+
+
+def test_every_check_runs_on_the_calling_thread(monkeypatch):
+    import vertexpoly.verify as vf
+
+    idents = []
+    run_one = vf.run_check
+
+    def recording(spec):
+        idents.append(threading.get_ident())
+        return run_one(spec)
+
+    monkeypatch.setattr(vf, "run_check", recording)
+    specs = default_suite(m=3, n=1, mode="eval", seed=3, trials=1)
+    run_checks(specs)
+    assert idents == [threading.get_ident()] * len(specs)
 
 
 def test_fault_injection_breaks_correspondence():
@@ -238,6 +257,13 @@ def test_eval_degeneration_passes_over_both_fields(m, n, count):
         assert report.passed, report.witness
         assert report.breakdown["comparisons"] == count
         assert report.breakdown["field"] == field
+
+
+@pytest.mark.parametrize("m, n, count", [(5, 3, 10), (6, 3, 20), (5, 4, 5)])
+def test_exact_degeneration_passes_at_larger_sizes(m, n, count):
+    report = run_check(CheckSpec("degeneration", m=m, n=n, mode="exact"))
+    assert report.passed, report.witness
+    assert report.breakdown["comparisons"] == count
 
 
 @pytest.mark.parametrize("name", ["rll", "correspondence", "dwbp"])
