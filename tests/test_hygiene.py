@@ -94,7 +94,6 @@ def test_every_private_module_name_is_read():
     assert not dead, "private names never read: " + ", ".join(dead)
 
 
-
 _CONCURRENCY_MODULES = {"threading", "concurrent", "multiprocessing"}
 
 
