@@ -9,11 +9,16 @@ states selecting which of the four operators (A, B, C, D) is applied.  The
 full 2^M x 2^M operator matrix is never materialized.
 
 Each application first builds a small table of the nonzero local weights:
-one for a homogeneous lattice, one per site with inhomogeneities.  The
-sweep only looks weights up, adding products in the same order as a
-direct evaluation, so every result is unchanged.  With `transpose=True`
-the same sweep applies an operator to a covector, <s|X(u): the known bits
-are the output bits and the sum runs over input bits.
+one for a homogeneous lattice, one per site with inhomogeneities, cleared
+to a common denominator d by `ring.clear_denominators` (polynomials at
+symbolic points, ints at rational ones; residues keep d = 1).  One
+application picks exactly one weight per site, so it scales every amplitude
+by the product D of its sites' d, d^M on a homogeneous lattice.  The sweep
+multiplies and adds cleared values, which never renormalize, multiplies the
+D of its operators together, and divides each amplitude once, when it is
+read.  With `transpose=True` the same sweep applies an operator to a
+covector, <s|X(u): the known bits are the output bits and the sum runs over
+input bits.
 
 `wavefunctions` reads every amplitude of one kind from one sweep: psi and
 phi_dual from the states B(u_N)...B(u_1)|vacuum> and C(u_N)...C(u_1)|packed>,
@@ -34,9 +39,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import prod
 
 from .mprod import mat_eq, mat_mul
-from .ring import RingError, is_zero
+from .ring import (RingError, clear_denominators, cleared_quotient,
+                   is_zero)
 
 __all__ = [
     "ParticleConfig",
@@ -190,13 +197,15 @@ _BOUNDARY = {"A": (0, 0), "B": (1, 0), "C": (0, 1), "D": (1, 1)}
 
 
 def _site_weights(u, w, p, transpose):
-    """The nonzero local weights of one site, grouped for the sweep.
+    """The nonzero local weights of one site, cleared and grouped.
 
-    Maps (aux, known) to ((free, gamma, weight), ...) in increasing free
-    bit, where the known bit is beta and the free bit delta, or the other
-    way round under `transpose`.
+    Returns (steps, d): the weights over their common denominator d (see
+    `clear_denominators`), with steps mapping (aux, known) to
+    ((free, gamma, weight), ...) in increasing free bit, where the known bit
+    is beta and the free bit delta, or the other way round under
+    `transpose`.
     """
-    steps = {(aux, known): [] for aux in (0, 1) for known in (0, 1)}
+    moves, weights = [], []
     for aux, beta, delta in product((0, 1), repeat=3):
         gamma = aux + beta - delta
         if gamma not in (0, 1):
@@ -204,33 +213,29 @@ def _site_weights(u, w, p, transpose):
         wgt = l_weight(aux, beta, gamma, delta, u, w, p)
         if is_zero(wgt):
             continue
-        if transpose:
-            steps[aux, delta].append((beta, gamma, wgt))
-        else:
-            steps[aux, beta].append((delta, gamma, wgt))
-    return steps
+        moves.append((aux, delta, beta, gamma) if transpose
+                     else (aux, beta, delta, gamma))
+        weights.append(wgt)
+    steps = {(aux, known): [] for aux in (0, 1) for known in (0, 1)}
+    cleared, d = clear_denominators(weights)
+    for (aux, known, free, gamma), wgt in zip(moves, cleared):
+        steps[aux, known].append((free, gamma, wgt))
+    return steps, d
 
 
-def apply_row_operator(kind, u, s, p, transpose=False):
-    """Apply the row operator A(u), B(u), C(u) or D(u) to a state vector.
-
-    Sweeps sites 1..M carrying the two-dimensional auxiliary index; the
-    boundary pair (auxiliary in, auxiliary out) is (0,0) for A, (1,0) for B,
-    (0,1) for C and (1,1) for D, matching the monodromy element conventions.
-    With `transpose`, s is read as a covector and the result is <s|X(u):
-    the bits of s are the output bits and the sum runs over input bits,
-    with the auxiliary line still running from site 1 to M.
-    """
-    if kind not in _BOUNDARY:
-        raise RingError(f"unknown row operator {kind!r}")
-    aux_in, aux_out = _BOUNDARY[kind]
-    m = s.m
+def _row_weights(u, m, p, transpose):
+    """The cleared site tables of one row operator, and its factor D."""
     if p.w is None:
-        sites = [_site_weights(u, p.one(), p, transpose)] * m
-    elif len(p.w) != m:
+        steps, d = _site_weights(u, p.one(), p, transpose)
+        return [steps] * m, d ** m
+    if len(p.w) != m:
         raise RingError("inhomogeneity list length does not match lattice")
-    else:
-        sites = [_site_weights(u, w, p, transpose) for w in p.w]
+    tables = [_site_weights(u, w, p, transpose) for w in p.w]
+    return [steps for steps, _ in tables], prod(d for _, d in tables)
+
+
+def _row_sweep(s, sites, aux_in, aux_out):
+    """One row operator on s, from the site tables and boundary pair."""
     out = {}
     for bits, amp in s.amps.items():
         # frontier: (aux, partial free bits) -> amplitude
@@ -249,7 +254,41 @@ def apply_row_operator(kind, u, s, p, transpose=False):
                 continue
             acc = out.get(fbits)
             out[fbits] = a if acc is None else acc + a
-    return StateVector(m, out)
+    return StateVector(s.m, out)
+
+
+def _sweep(op, s, us, p, transpose):
+    """s with op(u) applied for each u in turn, on cleared scalars.
+
+    Returns (state, d) whose quotient is the result: s is cleared once, and
+    each operator runs on its cleared site tables and multiplies d by its
+    factor D, so nothing is divided until an amplitude is read.
+    """
+    if op not in _BOUNDARY:
+        raise RingError(f"unknown row operator {op!r}")
+    aux_in, aux_out = _BOUNDARY[op]
+    amps, d = clear_denominators(list(s.amps.values()))
+    s = StateVector(s.m, dict(zip(s.amps, amps)))
+    for u in us:
+        sites, factor = _row_weights(u, s.m, p, transpose)
+        s = _row_sweep(s, sites, aux_in, aux_out)
+        d = d * factor
+    return s, d
+
+
+def apply_row_operator(kind, u, s, p, transpose=False):
+    """Apply the row operator A(u), B(u), C(u) or D(u) to a state vector.
+
+    Sweeps sites 1..M carrying the two-dimensional auxiliary index; the
+    boundary pair (auxiliary in, auxiliary out) is (0,0) for A, (1,0) for B,
+    (0,1) for C and (1,1) for D, matching the monodromy element conventions.
+    With `transpose`, s is read as a covector and the result is <s|X(u):
+    the bits of s are the output bits and the sum runs over input bits,
+    with the auxiliary line still running from site 1 to M.
+    """
+    out, d = _sweep(kind, s, [u], p, transpose)
+    return StateVector(s.m, {bits: cleared_quotient(a, d)
+                             for bits, a in out.amps.items()})
 
 
 # wavefunction kind -> (row operator, starts packed, covector, config class,
@@ -274,12 +313,10 @@ def _wave_kind(kind):
         raise RingError(f"unknown wavefunction kind {kind!r}") from None
 
 
-def _sweep(op, bits, us, m, p, transpose):
-    """The basis state `bits` with op(u) applied for each u in turn."""
-    s = StateVector.basis(m, bits, p.one())
-    for u in us:
-        s = apply_row_operator(op, u, s, p, transpose=transpose)
-    return s
+def _read(s, bits, d, p):
+    """The amplitude at `bits` of the cleared state s over d."""
+    a = s.amps.get(bits)
+    return p.zero() if a is None else cleared_quotient(a, d)
 
 
 def wavefunction(kind, config, us, p):
@@ -303,8 +340,9 @@ def wavefunction(kind, config, us, p):
         raise RingError("config size must match the number of spectral parameters")
     m = config.m
     start = (1 << m) - 1 if packed else 0
-    s = _sweep(op, config.bits(), reversed(us), m, p, transpose=not covector)
-    return s.amplitude(start, p.zero())
+    s, d = _sweep(op, StateVector.basis(m, config.bits(), p.one()),
+                  reversed(us), p, transpose=not covector)
+    return _read(s, start, d, p)
 
 
 def wavefunctions(kind, m, us, p):
@@ -321,10 +359,10 @@ def wavefunctions(kind, m, us, p):
     if n > m:
         raise RingError(f"{n} spectral parameters on {m} sites")
     start = (1 << m) - 1 if packed else 0
-    s = _sweep(op, start, us, m, p, transpose=covector)
+    s, d = _sweep(op, StateVector.basis(m, start, p.one()), us, p,
+                  transpose=covector)
     occupied = n if flavour is ParticleConfig else m - n
-    zero = p.zero()
-    return {c.bits(): s.amplitude(c.bits(), zero)
+    return {c.bits(): _read(s, c.bits(), d, p)
             for c in all_particle_configs(m, occupied)}
 
 

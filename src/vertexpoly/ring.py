@@ -51,7 +51,7 @@ from collections.abc import Mapping
 from functools import reduce
 from heapq import heappop, heappush, heapreplace
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import or_
 
 try:
@@ -71,6 +71,8 @@ __all__ = [
     "exact_divide",
     "try_exact_divide",
     "determinant",
+    "clear_denominators",
+    "cleared_quotient",
     "random_rational",
     "distinct_rationals",
     "is_zero",
@@ -950,20 +952,57 @@ class Residue:
         return f"Residue({self.v})"
 
 
-# -- determinants -------------------------------------------------------
+# -- common denominators and determinants -------------------------------
+
+
+def clear_denominators(row):
+    """A row of scalars over one common denominator: (entries, d).
+
+    Each entry divided by d is the matching scalar of `row`.  A row holding
+    a RatFunc clears to MultiPoly entries, lifting its rationals to
+    constants, and d is the product of the denominators that do not divide
+    the product so far; a rational row clears to ints over the lcm of its
+    denominators; any other row (residues) comes back unchanged with d = 1.
+    """
+    vt = next((x.vars for x in row if isinstance(x, RatFunc)), None)
+    if vt is not None:
+        one = vt.one()
+        pairs = [(x.num, x.den) if isinstance(x, RatFunc)
+                 else (vt.const(x), one) for x in row]
+        d = one
+        for _, den in pairs:
+            if try_exact_divide(d, den) is None:
+                d = d * den
+        return [num * exact_divide(d, den) for num, den in pairs], d
+    if all(_is_rational(x) for x in row):
+        ratios = [_ratio(x) for x in row]
+        d = lcm(*(den for _, den in ratios))
+        return [num * (d // den) for num, den in ratios], d
+    return list(row), 1
+
+
+def cleared_quotient(x, d):
+    """x / d for an entry x and denominator d from `clear_denominators`."""
+    if isinstance(x, MultiPoly):
+        return RatFunc(x, d)
+    if isinstance(x, int):
+        return QQ(x, d)
+    return x
 
 
 def determinant(matrix):
     """Determinant of a square matrix of scalars, division-free.
 
     Laplace expansion with dynamic programming over column subsets (minors
-    of row prefixes).  Each row is first cleared to a common denominator:
-    RatFunc rows to polynomials, which avoids the exact polynomial
-    divisions of fraction-free elimination that dominate the cost on large
-    multivariate entries, and rational rows to integers by the lcm of their
-    denominators, so the expansion runs on ints.  Residue rows expand as
-    they are.  The 0x0 determinant is the int 1 (empty product), which
-    coerces into every scalar mode.  Mixing scalar modes is an error.
+    of row prefixes), after `clear_denominators` has put each row over a
+    common denominator d_i: RatFunc rows become polynomials, which avoids
+    the exact polynomial divisions of fraction-free elimination that
+    dominate the cost on large multivariate entries, and rational rows
+    become ints, so the expansion runs on ints.  The determinant is
+    multilinear in the rows, so it is the cleared determinant divided once
+    by the product of the d_i.  Residue rows expand as they are.  The 0x0
+    determinant is the int 1 (empty product), which coerces into every
+    scalar mode.  Mixing scalar modes is an error.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
@@ -973,28 +1012,18 @@ def determinant(matrix):
     flat = [x for row in matrix for x in row]
     if all(isinstance(x, RatFunc) for x in flat):
         vt = matrix[0][0].vars
-        one = vt.one()
         rows = []
-        total_den = one
+        total_den = vt.one()
         for row in matrix:
-            d = one
-            for x in row:
-                if try_exact_divide(d, x.den) is None:
-                    d = d * x.den
-            rows.append([x.num * exact_divide(d, x.den) for x in row])
+            cleared, d = clear_denominators(row)
+            rows.append(cleared)
             total_den = total_den * d
         return RatFunc(_laplace(rows, vt.zero()), total_den)
     if all(x.__class__ is Residue for x in flat):
         return _laplace(matrix, Residue(0))
     if all(_is_rational(x) for x in flat):
-        rows = []
-        total_den = 1
-        for row in matrix:
-            ratios = [_ratio(x) for x in row]
-            d = lcm(*(den for _, den in ratios))
-            rows.append([num * (d // den) for num, den in ratios])
-            total_den *= d
-        return QQ(_laplace(rows, 0), total_den)
+        rows, dens = zip(*map(clear_denominators, matrix))
+        return QQ(_laplace(rows, 0), prod(dens))
     raise RingError("determinant entries mix scalar modes")
 
 

@@ -11,7 +11,8 @@ from vertexpoly.lattice import (HoleConfig, ParticleConfig, StateVector,
                                 matrix_element, r_weight, wavefunction,
                                 wavefunctions)
 from vertexpoly.params import ParamSet
-from vertexpoly.ring import QQ, RatFunc, RingError, canonical_vartable
+from vertexpoly.ring import (QQ, RatFunc, Residue, RingError,
+                             canonical_vartable)
 
 
 @pytest.fixture
@@ -224,14 +225,84 @@ def test_transposed_sweep_is_the_matrix_transpose(inhomogeneous):
                         covector.amplitude(b, p.zero()), (kind, m, a, b)
 
 
+# kind -> (row operator, starts packed, covector), as in the wavefunction
+# docstrings: psi from B|vacuum>, phi_dual from C|packed>, phi from
+# <packed|B and psi_dual from <vacuum|C
+STEP_ROUTES = {
+    "psi": ("B", False, False),
+    "psi_dual": ("C", False, True),
+    "phi": ("B", True, True),
+    "phi_dual": ("C", True, False),
+}
+
+
+def _t0_set(beta):
+    return ParamSet.unchecked(0, 1, 0, 1, 1, -1 / beta, -1)
+
+
+def _cleared_sweep_cases():
+    """(id, m, us, p, scalar) at every scalar kind the sweep clears.
+
+    The t = 0 sets are built from ints, so their `p.one()` is rational and
+    a symbolic beta gives rows that mix rationals and RatFuncs.
+    """
+    sym32 = ParamSet.symbolic_canonical(n_u=2)
+    sym_w = ParamSet.symbolic_canonical(n_u=2, n_w=4)
+    q = ParamSet.sample(11)
+    q_w = ParamSet.sample(19, n_w=6)
+    res = ParamSet.sample(13).map(Residue.of)
+    vt = canonical_vartable(n_u=2, free_params=(), beta=True)
+    sym_t0 = _t0_set(RatFunc(vt.var("beta")))
+    return [
+        ("symbolic-3-2", 3, sym32.spectral(2), sym32, RatFunc),
+        ("rational-8-3", 8, spectral(q, 3), q, QQ),
+        ("rational-w-6-3", 6, spectral(q_w, 3), q_w, QQ),
+        ("symbolic-w-4-2", 4, sym_w.spectral(2), sym_w, RatFunc),
+        ("residue-5-2", 5, [Residue.of(u) for u in spectral(q, 2)], res,
+         Residue),
+        ("t0-symbolic-beta-4-2", 4,
+         [RatFunc(vt.var("u1")), RatFunc(vt.var("u2"))], sym_t0, RatFunc),
+        ("t0-rational-beta-4-2", 4, spectral(q, 2), _t0_set(QQ(7, 3)), QQ),
+    ]
+
+
+CLEARED_SWEEP_CASES = _cleared_sweep_cases()
+
+
+@pytest.mark.parametrize("kind", WAVE_KINDS)
+@pytest.mark.parametrize("case", CLEARED_SWEEP_CASES,
+                         ids=[c[0] for c in CLEARED_SWEEP_CASES])
+def test_cleared_sweep_matches_the_step_by_step_route(case, kind):
+    # the sweep divides once at the end; apply_row_operator divides after
+    # every operator, so both must give the same amplitudes, byte for byte
+    _, m, us, p, scalar = case
+    op, packed, covector = STEP_ROUTES[kind]
+    s = StateVector.packed(m, p.one()) if packed else \
+        StateVector.vacuum(m, p.one())
+    for u in us:
+        s = apply_row_operator(op, u, s, p, transpose=covector)
+    amps = wavefunctions(kind, m, us, p)
+    cls = ParticleConfig if kind in ("psi", "psi_dual") else HoleConfig
+    for x in combinations(range(1, m + 1), len(us)):
+        config = cls(m, x)
+        expected = s.amplitude(config.bits(), p.zero())
+        for got in (amps[config.bits()], wavefunction(kind, config, us, p)):
+            assert got == expected, (kind, x)
+            # an amplitude no path reaches is p.zero(), a rational at t = 0
+            want = scalar if expected != 0 else type(p.zero())
+            assert type(got) is want and type(expected) is want, (kind, x)
+            assert str(got) == str(expected), (kind, x)
+
+
 @pytest.mark.parametrize("kind", WAVE_KINDS)
 def test_single_amplitude_never_builds_the_full_state(monkeypatch, kind):
     # each kind runs from the configuration's end, so no intermediate
     # state holds all C(8, 3) = 56 configurations of the far end
     sizes = []
+    row_sweep = lattice._row_sweep
 
-    def recording(*args, **kwargs):
-        out = apply_row_operator(*args, **kwargs)
+    def recording(*args):
+        out = row_sweep(*args)
         sizes.append(len(out.amps))
         return out
 
@@ -240,7 +311,7 @@ def test_single_amplitude_never_builds_the_full_state(monkeypatch, kind):
     cls = ParticleConfig if kind in ("psi", "psi_dual") else HoleConfig
     configs = [cls(8, x) for x in ((1, 2, 3), (2, 5, 7), (4, 6, 8),
                                    (6, 7, 8))]
-    monkeypatch.setattr(lattice, "apply_row_operator", recording)
+    monkeypatch.setattr(lattice, "_row_sweep", recording)
     for config in configs:
         wavefunction(kind, config, us, p)
     assert len(sizes) == 3 * len(configs)

@@ -110,6 +110,15 @@ MUTANTS = [
     Mutant("phi-read-as-a-state", "correspondence", "eval",
            _entry(lattice._WAVE_KINDS, "phi", 2, False),
            "correspondence pairing"),
+    # the cleared sweep's scale: residues clear with d = 1, so only exact
+    # mode can see a wrong factor
+    Mutant("row-scale-drops-one-site-d", "correspondence", "exact",
+           _edit(lattice, "_row_weights", "d ** m", "d ** (m - 1)"),
+           "correspondence mp-algebra"),
+    Mutant("row-scale-drops-first-site-d-with-w", "dwbp", "exact",
+           _edit(lattice, "_row_weights", "for _, d in tables)",
+                 "for _, d in tables[1:])"),
+           "dwbp"),
     # -- closed-form families and skew factors
     Mutant("G-site-forms-swapped", "correspondence", "eval",
            _entry(sympoly._FAMILY_ROWS, "G", 0, (0, 2)),
@@ -181,12 +190,11 @@ MUTANTS = [
                  "total_den = total_den * d\n        return RatFunc",
                  "total_den = d\n        return RatFunc"),
            "pairing degeneration dwbp"),
-    Mutant("RatFunc-add-scales-wrong-numerator", "correspondence", "exact",
+    Mutant("RatFunc-add-scales-wrong-numerator", "rll", "exact",
            _edit(ring, "RatFunc.__add__",
                  "return RatFunc(self.num + other.num * q, self.den)",
                  "return RatFunc(self.num * q + other.num, self.den)"),
-           "correspondence pairing branching degeneration mp-algebra rll "
-           "ybe"),
+           "branching degeneration mp-algebra rll ybe"),
     Mutant("exact-point-u-reversed", None, "exact",
            _edit(verify, "_points", 'p.spectral(n_u), "symbolic"',
                  'p.spectral(n_u)[::-1], "symbolic"'),

@@ -12,6 +12,7 @@ exercised.
 
 import json
 import operator
+from math import lcm
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 import random
 
 from vertexpoly.ring import (PRIME, QQ, MultiPoly, RatFunc, Residue, VarTable,
+                             clear_denominators, cleared_quotient,
                              determinant, distinct_rationals, exact_divide,
                              poly_from_json, poly_to_json, random_rational,
                              ratfunc_from_json, ratfunc_to_json,
@@ -234,6 +236,72 @@ def test_rational_determinant_matches_sympy(cells):
                                            int(c.denominator)) for c in row]
                            for row in cells]).det()
     assert determinant(cells) == QQ(int(theirs.p), int(theirs.q))
+
+
+# -- clearing a row to a common denominator ------------------------------
+
+rationals = st.one_of(st.integers(-50, 50),
+                      st.builds(QQ, st.integers(-50, 50), st.integers(1, 12)))
+monomials = st.builds(lambda e, c: MultiPoly(VT, {e: c}),
+                      st.tuples(*[small_exps] * len(VT)), coeffs)
+ratfuncs = st.builds(RatFunc, polys(small_exps, 3),
+                     st.one_of(monomials, nonzero(polys(small_exps, 3))))
+
+
+def assert_clears(row):
+    cleared, d = clear_denominators(row)
+    assert len(cleared) == len(row)
+    for x, c in zip(row, cleared):
+        assert cleared_quotient(c, d) == x
+    return cleared, d
+
+
+@FAST
+@given(st.lists(rationals, max_size=6))
+def test_rational_row_clears_to_ints_over_the_lcm(row):
+    cleared, d = assert_clears(row)
+    assert all(type(c) is int for c in cleared) and type(d) is int
+    assert d == lcm(1, *(QQ(x).denominator for x in row))
+    assert all(type(cleared_quotient(c, d)) is QQ for c in cleared)
+
+
+@FAST
+@given(st.lists(st.builds(RatFunc, polys(small_exps, 3), monomials),
+                min_size=1, max_size=5))
+def test_ratfunc_row_over_monomials_clears_to_polynomials(row):
+    cleared, d = assert_clears(row)
+    assert all(isinstance(c, MultiPoly) for c in cleared)
+    assert len(d.terms) == 1
+    # the reduced form over a monomial is unique: dividing gives it back
+    assert [str(cleared_quotient(c, d)) for c in cleared] == \
+        [str(x) for x in row]
+
+
+@FAST
+@given(st.lists(ratfuncs, min_size=1, max_size=4))
+def test_ratfunc_row_clears_to_polynomials(row):
+    cleared, d = assert_clears(row)
+    assert all(isinstance(c, MultiPoly) for c in cleared)
+    assert isinstance(d, MultiPoly)
+
+
+@FAST
+@given(st.lists(st.one_of(ratfuncs, rationals), min_size=1, max_size=5)
+       .filter(lambda row: any(isinstance(x, RatFunc) for x in row)))
+def test_mixed_row_lifts_its_rationals(row):
+    cleared, d = assert_clears(row)
+    assert all(isinstance(c, MultiPoly) for c in cleared)
+    for x, c in zip(row, cleared):
+        if not isinstance(x, RatFunc):
+            assert c == VT.const(x) * d
+
+
+@FAST
+@given(st.lists(st.integers(0, PRIME - 1).map(Residue), max_size=6))
+def test_residue_row_comes_back_unchanged(row):
+    cleared, d = clear_denominators(row)
+    assert d == 1 and cleared == row
+    assert all(c is x for c, x in zip(cleared, row))
 
 
 # -- residues mod 2^61 - 1, with Fraction arithmetic as the oracle -------
