@@ -2,13 +2,19 @@
 
 Viewing the lattice column-wise, the N-row transfer structure collapses to a
 pair of operators on the 2^N-dimensional product of auxiliary spaces: a
-diagonal-block operator (from the vacuum-to-vacuum element) and a raising
-operator (from the vacuum-to-particle element), built by a kron recursion in
-the number of rows.  The wavefunction becomes a single matrix element of a
-word in these two operators, the word spelled by the particle configuration:
-the corner element <all-empty| word |all-full>.  It is read by carrying the
-all-empty row vector through the word, one row-times-matrix product per
-factor, so no product of two 2^N x 2^N matrices is formed.
+diagonal-block operator A (from the vacuum-to-vacuum element) and a raising
+operator C (from the vacuum-to-particle element), built by a kron recursion
+in the number of rows.  The wavefunction becomes a single matrix element of
+a word in these two operators, the word spelled by the particle
+configuration: the corner element <all-empty| word |all-full>.
+
+Each row u scales copies of the old pair by its six weights, cleared to
+one denominator d_u (`ring.clear_denominators`: polynomials at symbolic
+points, ints at rational ones; residues keep d_u = 1).  Every entry of A
+and of C picks exactly one weight per row, so the cleared pair is the true
+pair times D = prod_u d_u, and the M-factor word's corner carries D^M.  The
+corner is read by carrying the all-empty row vector through the cleared
+word, one row-times-matrix product per factor, and divided once by D^M.
 
 The raising operator decomposes into N rank-structured pieces obeying a
 quasi-commutation algebra; the decomposition is found by simultaneously
@@ -22,7 +28,7 @@ sparse format is used, though products skip zero entries.
 
 from __future__ import annotations
 
-from .ring import RingError, is_zero
+from .ring import RingError, clear_denominators, cleared_quotient, is_zero
 
 __all__ = [
     "mat_mul",
@@ -91,27 +97,43 @@ def mat_eq(x, y):
 # -- the operator pair and its diagonalization -------------------------
 
 
+def _cleared_pair(us, p):
+    """The cleared operator pair (a_mat, c_mat, D): entries times D.
+
+    The kron recursion starts from ([[1]], [[0]]); the step for row u
+    adjoins the new auxiliary factor on the left (slowest index), with
+    copies of the old pair, scaled by the row's cleared weights, in the
+    nonzero 2 x 2 block positions.
+    """
+    a, b, e, f = p.a, p.b, p.e, p.f
+    tc, td, at, ft = (1 - p.t) * p.c, (1 - p.t) * p.d, a * p.t, f * p.t
+    a_mat, c_mat, scale = [[1]], [[0]], 1
+    for u in us:
+        (w_a, w_e, w_c, w_d, w_at, w_ft), d_u = clear_denominators(
+            [a * u + b, e * u + f, tc * u, td, at * u + b, e * u + ft])
+        pad = [0 * w_a] * len(a_mat)
+        # A' = [[w_a A, 0], [w_d C, w_e A]]
+        # C' = [[w_at C, w_c A], [0, w_ft C]]
+        a_mat, c_mat = (
+            [[w_a * v for v in ra] + pad for ra in a_mat]
+            + [[w_d * v for v in rc] + [w_e * v for v in ra]
+               for ra, rc in zip(a_mat, c_mat)],
+            [[w_at * v for v in rc] + [w_c * v for v in ra]
+             for ra, rc in zip(a_mat, c_mat)]
+            + [pad + [w_ft * v for v in rc] for rc in c_mat])
+        scale = scale * d_u
+    return a_mat, c_mat, scale
+
+
 def mp_build(us, p):
     """The 2^N x 2^N operator pair (diagonal-block, raising) for rows us.
 
-    Built by the kron recursion; the n-th step adjoins the new auxiliary
-    factor on the left (slowest index), assembling the new operators from
-    scaled copies of the old ones in their nonzero 2 x 2 block positions.
+    Each entry of the cleared pair holds one weight of every row, so it is
+    divided once by D = prod d_u.
     """
-    t, a, b, c, d, e, f = p.t, p.a, p.b, p.c, p.d, p.e, p.f
-    zero = p.zero()
-    u1 = us[0]
-    a_mat = [[a * u1 + b, zero], [zero, e * u1 + f]]
-    c_mat = [[zero, (1 - t) * c * u1], [zero, zero]]
-    for u in us[1:]:
-        a_mat, c_mat = (
-            _block2(mat_scale(a * u + b, a_mat), None,
-                    mat_scale((1 - t) * d, c_mat),
-                    mat_scale(e * u + f, a_mat), p),
-            _block2(mat_scale(a * t * u + b, c_mat),
-                    mat_scale((1 - t) * c * u, a_mat), None,
-                    mat_scale(e * u + f * t, c_mat), p))
-    return a_mat, c_mat
+    *pair, scale = _cleared_pair(us, p)
+    return tuple([[cleared_quotient(v, scale) for v in row] for row in x]
+                 for x in pair)
 
 
 def mp_diagonalized(us, p):
@@ -179,15 +201,16 @@ def raising_parts(us, p):
 # -- wavefunction and prefactor ----------------------------------------
 
 
-def _corner(factors, p):
-    """<all-empty| X_1 X_2 ... X_k |all-full> in the kron basis.
+def _corner(factors):
+    """<all-empty| X_1 X_2 ... X_k |all-full> in the kron basis (k >= 1).
 
     The top-right entry of the product, found by carrying the all-empty row
-    vector through the factors from the left, one row-times-matrix product
-    (skipping zeros, through `mat_mul`) per factor.
+    vector, whose product with X_1 is X_1's top row, through the factors
+    from the left, one row-times-matrix product (skipping zeros, through
+    `mat_mul`) per factor.
     """
-    row = [[p.one()] + [p.zero()] * (len(factors[0]) - 1)]
-    for x in factors:
+    row = factors[0][:1]
+    for x in factors[1:]:
         row = mat_mul(row, x)
     return row[0][-1]
 
@@ -197,16 +220,18 @@ def trace_wavefunction(config, us, p):
 
     The word is A^{M-x_N} C A^{x_N - x_{N-1} - 1} ... C A^{x_1 - 1} and the
     wavefunction is its matrix element between the all-empty and all-full
-    auxiliary states.
+    auxiliary states.  It is read on the cleared pair (ints over Q,
+    polynomials at symbolic points); its M factors each carry D, so the
+    corner is divided once by D^M.
     """
     if len(config) != len(us):
         raise RingError("config size must match the number of spectral parameters")
-    a_mat, c_mat = mp_build(us, p)
+    a_mat, c_mat, scale = _cleared_pair(us, p)
     x = (0,) + config.x  # with x_0 = 0 the last block is C A^{x_1 - 1}
     word = [a_mat] * (config.m - x[-1])
     for j in range(len(x) - 1, 0, -1):
         word += [c_mat] + [a_mat] * (x[j] - x[j - 1] - 1)
-    return _corner(word, p)
+    return cleared_quotient(_corner(word), scale ** config.m)
 
 
 def k_prefactor(m, us, p):
@@ -218,7 +243,7 @@ def k_prefactor(m, us, p):
     n = len(us)
     a_mat, _ = mp_build(us, p)
     parts = raising_parts(us, p)
-    value = _corner([a_mat] * (m - n) + parts[::-1], p)
+    value = _corner([a_mat] * (m - n) + parts[::-1])
     for j in range(1, n + 1):
         u = us[j - 1]
         value = value * ((p.a * u + p.b) / (p.e * u + p.f)) ** j

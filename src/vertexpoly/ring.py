@@ -961,9 +961,13 @@ def clear_denominators(row):
     Each entry divided by d is the matching scalar of `row`.  A row holding
     a RatFunc clears to MultiPoly entries, lifting its rationals to
     constants, and d is the product of the denominators that do not divide
-    the product so far; a rational row clears to ints over the lcm of its
-    denominators; any other row (residues) comes back unchanged with d = 1.
+    the product so far; a row of residues comes back unchanged with d = 1;
+    any other row is rational and clears to ints over the lcm of its
+    denominators.  Residue rows are recognised first, so they pay for no
+    other test.
     """
+    if all(x.__class__ is Residue for x in row):
+        return list(row), 1
     vt = next((x.vars for x in row if isinstance(x, RatFunc)), None)
     if vt is not None:
         one = vt.one()
@@ -974,11 +978,9 @@ def clear_denominators(row):
             if try_exact_divide(d, den) is None:
                 d = d * den
         return [num * exact_divide(d, den) for num, den in pairs], d
-    if all(_is_rational(x) for x in row):
-        ratios = [_ratio(x) for x in row]
-        d = lcm(*(den for _, den in ratios))
-        return [num * (d // den) for num, den in ratios], d
-    return list(row), 1
+    ratios = [_ratio(x) for x in row]
+    d = lcm(*(den for _, den in ratios))
+    return [num * (d // den) for num, den in ratios], d
 
 
 def cleared_quotient(x, d):

@@ -11,9 +11,12 @@ lambda_j = x_{N-j+1} - N + j - 1.
 
 Permutation sums iterate S_N in lexicographic order and evaluate the
 inversion-condition products from the explicit inversion set (the factors
-are ratios, not signs).  Each summand is cleared to a polynomial, and the
-sum is divided only by the pairwise factor prod_{j<k} (u_j - u_k) times one
-orientation of each inversion denominator; that division is exact, so
+are ratios, not signs).  The sum runs on cleared scalars
+(`ring.clear_denominators`; residues keep d = 1): each site's [numerator
+form, denominator form] row and each pair's two inversion choices are
+cleared to one d, and every summand takes the same number of entries from
+each row, so the sum is divided once by the product of their d's.  It is
+then divided, exactly, by the Vandermonde prod_{j<k} (u_j - u_k), so
 symbolic results come out reduced, a polynomial over a monomial.
 """
 
@@ -22,7 +25,8 @@ from __future__ import annotations
 from itertools import permutations
 
 from .lattice import _WAVE_KINDS, ParticleConfig
-from .ring import RingError, determinant
+from .ring import (RingError, clear_denominators, cleared_quotient,
+                   determinant)
 
 __all__ = [
     "family_poly",
@@ -106,7 +110,6 @@ def family_poly(kind, config, us, p):
         raise RingError("config size must match the number of spectral parameters")
     positions = config.x if flavour is ParticleConfig else config.xbar
     t, c, d = p.t, p.c, p.d
-    one = p.one()
 
     def lo(x, y):
         return x - t * y
@@ -115,42 +118,51 @@ def family_poly(kind, config, us, p):
         return t * x - y
 
     inv_num, inv_den = (hi, lo) if flipped else (lo, hi)
-    site_nums = [_FORMS[num_form](p, u) for u in us]
-    site_dens = [_FORMS[den_form](p, u) for u in us]
+    (one,), scale = clear_denominators([p.one()])
 
-    # Every summand is polynomial: the site ratios are scaled by the lowest
-    # and the highest position, and each pair's inversion ratio by both
-    # orientations of its denominator form.  The sum is then divisible by
-    # the pairwise factor alone, and symbolic results come out reduced, a
-    # polynomial over a monomial.
+    # The site ratios are scaled by the lowest and the highest position, so
+    # every summand takes x_max - x_min site forms per site; each site's
+    # [numerator form, denominator form] row is cleared together, to its d.
     x_min, x_max = (positions[0], positions[-1]) if positions else (1, 1)
-    prefactor = one
-    for u, s_num, s_den in zip(us, site_nums, site_dens):
+    prefactor = p.one()
+    sites = []
+    for u in us:
+        s_num, s_den = _FORMS[num_form](p, u), _FORMS[den_form](p, u)
         weight = (1 - t) * c * u if with_cu else (1 - t) * d
         prefactor = prefactor * (
             weight * s_den ** (m - x_max) * s_num ** (x_min - 1))
-    pairwise = one
+        forms, site_d = clear_denominators([s_num, s_den])
+        sites.append(forms)
+        scale = scale * site_d ** (x_max - x_min)
+    # Pair j < k takes inv_num(u_j, u_k) if u_k comes first in the summand
+    # and inv_den(u_j, u_k) if u_j does: ahead[x][y] is the pair's factor
+    # when u_x comes first.  Its other factor, inv_den(u_k, u_j), is common
+    # to every summand and cancels from the pairwise divisor.
+    ahead = [[None] * n for _ in range(n)]
+    pairwise = p.one()
     for j in range(n):
         for k in range(j + 1, n):
-            pairwise = pairwise * (us[j] - us[k]) * inv_den(us[k], us[j])
+            (ahead[k][j], ahead[j][k]), pair_d = clear_denominators(
+                [inv_num(us[j], us[k]), inv_den(us[j], us[k])])
+            scale = scale * pair_d
+            pairwise = pairwise * (us[j] - us[k])
             if t_outer:
                 prefactor = prefactor / t
+
+    # Over the monomial scale, the quotient by the Vandermonde cancels
+    # against the numerator alone, so the result comes out reduced.
     total = None
     for sigma in permutations(range(n)):
         term = one
         for j in range(n):
             for k in range(j + 1, n):
-                usk, usj = us[sigma[k]], us[sigma[j]]
-                if sigma[j] > sigma[k]:
-                    term = term * inv_num(usk, usj) * inv_den(usj, usk)
-                else:
-                    term = term * inv_den(usk, usj) * inv_den(usj, usk)
-        for j in range(n):
-            s = sigma[j]
-            term = term * site_nums[s] ** (positions[j] - x_min) \
-                * site_dens[s] ** (x_max - positions[j])
+                term = term * ahead[sigma[j]][sigma[k]]
+        for j, s in enumerate(sigma):
+            s_num, s_den = sites[s]
+            term = term * s_num ** (positions[j] - x_min) \
+                * s_den ** (x_max - positions[j])
         total = term if total is None else total + term
-    return prefactor * (total / pairwise)
+    return prefactor * (cleared_quotient(total, scale) / pairwise)
 
 
 def grothendieck_det(lam, zs, beta):

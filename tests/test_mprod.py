@@ -2,14 +2,15 @@
 
 import pytest
 
+from vertexpoly import mprod
 from vertexpoly.lattice import ParticleConfig, all_particle_configs, \
     wavefunction
-from vertexpoly.mprod import (k_closed_form, k_prefactor, mat_add, mat_eq,
-                              mat_identity, mat_mul, mat_scale, mp_build,
-                              mp_diagonalized, raising_parts,
+from vertexpoly.mprod import (_corner, k_closed_form, k_prefactor, mat_add,
+                              mat_eq, mat_identity, mat_mul, mat_scale,
+                              mp_build, mp_diagonalized, raising_parts,
                               trace_wavefunction)
 from vertexpoly.params import ParamSet
-from vertexpoly.ring import QQ, Residue, canonical_vartable
+from vertexpoly.ring import QQ, RatFunc, Residue, canonical_vartable
 
 
 @pytest.fixture
@@ -71,6 +72,74 @@ def test_word_route_symbolically_small():
     for config in all_particle_configs(3, 2):
         assert trace_wavefunction(config, us, p) == \
             wavefunction("psi", config, us, p)
+
+
+def _uncleared_word(config, us, p):
+    """The operator word read on the public (divided) pair, spelled from
+    the configuration's gaps right to left."""
+    a_mat, c_mat = mp_build(us, p)
+    x = (0,) + config.x
+    word = [a_mat] * (config.m - x[-1])
+    for j in range(len(x) - 1, 0, -1):
+        word += [c_mat] + [a_mat] * (x[j] - x[j - 1] - 1)
+    return _corner(word)
+
+
+def _t0_params(beta):
+    """The t = 0 set (0, 1, 0, 1, 1, -1/beta, -1) in beta's scalar mode."""
+    one, zero = beta ** 0, beta * 0
+    return ParamSet.unchecked(zero, one, zero, one, one, -one / beta, -one)
+
+
+def _word_points():
+    """name -> (m, n, p, us), covering each scalar mode the word runs on."""
+    num = ParamSet.sample(31)
+    sym = ParamSet.symbolic_over(canonical_vartable(n_u=2))
+    vt = canonical_vartable(n_u=2, free_params=(), beta=True)
+    sym0 = _t0_params(RatFunc(vt.var("beta")))
+    us0 = [RatFunc(vt.var(f"u{j}")) for j in (1, 2)]
+    return {
+        "rational-8-3": (8, 3, num, spectral(3)),
+        "symbolic-4-2": (4, 2, sym, sym.spectral(2)),
+        "t0-symbolic-beta": (4, 2, sym0, us0),
+        # the same set from int weights: ParamSet.one() is then rational
+        "t0-int-weights": (4, 2, ParamSet.unchecked(
+            0, 1, 0, 1, 1, -1 / RatFunc(vt.var("beta")), -1), us0),
+        "t0-rational-beta": (5, 2, _t0_params(QQ(7, 3)), spectral(2)),
+        "residues-5-2": (5, 2, num.map(Residue.of),
+                         [Residue.of(u) for u in spectral(2)]),
+        "n1": (3, 1, num, spectral(1)),
+        "n0": (3, 0, num, []),
+    }
+
+
+@pytest.mark.parametrize("point", list(_word_points()))
+def test_cleared_word_equals_the_uncleared_word(point):
+    m, n, p, us = _word_points()[point]
+    for config in all_particle_configs(m, n):
+        got = trace_wavefunction(config, us, p)
+        want = _uncleared_word(config, us, p)
+        assert got == want, config.x
+        assert type(got) is type(want), config.x
+        assert str(got) == str(want), config.x
+
+
+def test_word_over_q_multiplies_ints_only(monkeypatch):
+    # the word loop runs on the cleared pair, so no entry it multiplies is
+    # a Fraction; only the corner is divided, once
+    seen = []
+
+    def recording(x, y):
+        seen.extend(type(v) for row in x + y for v in row)
+        return mat_mul(x, y)
+
+    num = ParamSet.sample(31)
+    us = spectral(4)
+    monkeypatch.setattr(mprod, "mat_mul", recording)
+    for config in all_particle_configs(8, 4):
+        amp = trace_wavefunction(config, us, num)
+        assert type(amp) is type(num.one())
+    assert seen and set(seen) == {int}
 
 
 def test_diagonalization_conjugates_correctly(num):

@@ -132,6 +132,12 @@ MUTANTS = [
     Mutant("Hbar-without-outer-t", "pairing", "eval",
            _entry(sympoly._FAMILY_ROWS, "Hbar", 3, False),
            "correspondence pairing branching"),
+    # the cleared permutation sum's scale, seen only in exact mode
+    Mutant("family_poly-scale-drops-first-site-d", "correspondence",
+           "exact",
+           _edit(sympoly, "family_poly", "scale * site_d **",
+                 "scale * (1 if u is us[0] else site_d) **"),
+           "correspondence pairing branching degeneration"),
     Mutant("skew_factor-counts-q-as-occupied", "branching", "eval",
            _edit(sympoly, "skew_factor", "if pj < v < qj)",
                  "if pj < v <= qj)"),
@@ -171,9 +177,11 @@ MUTANTS = [
            _edit(dwbp, "check_ik_properties", "p.a ** (n - 1)", "p.a ** n"),
            "ik-properties"),
     # -- the matrix-product algebra
+    # the recursion that builds the pair lives in _cleared_pair; the fault
+    # puts (1 - t) c in the lower-left block of A instead of (1 - t) d
     Mutant("mp_build-lower-left-block-with-c", "mp-algebra", "eval",
-           _edit(mprod, "mp_build", "mat_scale((1 - t) * d, c_mat)",
-                 "mat_scale((1 - t) * c, c_mat)"),
+           _edit(mprod, "_cleared_pair", "(1 - p.t) * p.d",
+                 "(1 - p.t) * p.c"),
            "mp-algebra"),
     Mutant("k_closed_form-power-m-minus-1", "mp-algebra", "eval",
            _edit(mprod, "k_closed_form", "(a * u + b) ** m",
@@ -183,6 +191,13 @@ MUTANTS = [
            _edit(mprod, "trace_wavefunction",
                  "word += [c_mat] + [a_mat] * (x[j] - x[j - 1] - 1)",
                  "word += [a_mat] * (x[j] - x[j - 1] - 1) + [c_mat]"),
+           "mp-algebra"),
+    # the cleared word's scale: residues clear with d = 1, so only exact
+    # mode can see a wrong factor
+    Mutant("trace_wavefunction-divides-by-D-to-M-minus-1", "mp-algebra",
+           "exact",
+           _edit(mprod, "trace_wavefunction", "scale ** config.m",
+                 "scale ** (config.m - 1)"),
            "mp-algebra"),
     # -- ring code only symbolic arithmetic runs
     Mutant("determinant-keeps-last-row-denominator", "dwbp", "exact",

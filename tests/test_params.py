@@ -2,6 +2,7 @@
 
 import pytest
 
+from vertexpoly import params
 from vertexpoly.params import ParamError, ParamSet
 from vertexpoly.ring import QQ, RatFunc, Residue, canonical_vartable
 
@@ -47,6 +48,35 @@ def test_sampling_is_deterministic_and_valid():
 def test_sampled_inhomogeneities_are_distinct():
     p = ParamSet.sample(7, n_w=6)
     assert len(set(p.w)) == 6
+
+
+def test_sampling_redraws_t_one_and_restarts_on_a_repeated_w(monkeypatch):
+    # scripted draws: t = 1 is drawn again, and a repeated inhomogeneity
+    # restarts the whole sample from a derived seed
+    def run():
+        script = iter([QQ(1), QQ(1, 2), QQ(3, 4), QQ(3, 4),
+                       QQ(2, 3), QQ(5, 7), QQ(7, 5),
+                       QQ(2), QQ(3), QQ(5), QQ(7)])
+        states = []
+
+        def scripted(rng):
+            states.append(rng.getstate())
+            return next(script)
+
+        monkeypatch.setattr(params, "random_rational", scripted)
+        p = ParamSet.sample(4, n_w=2)
+        assert next(script, None) is None
+        return p, states
+
+    p, states = run()
+    assert (p.t, p.a, p.b, p.c, p.d) == (QQ(2, 3), 2, 3, 5, 7)
+    assert p.w == [QQ(5, 7), QQ(7, 5)]
+    # the restart draws from a new stream, not the first attempt's
+    assert states[:4] == [states[0]] * 4 and states[4] != states[0]
+    again, again_states = run()
+    assert (again.t, again.a, again.b, again.c, again.d, again.w) == \
+        (p.t, p.a, p.b, p.c, p.d, p.w)
+    assert again_states == states
 
 
 def test_scalar_mode_helpers():
