@@ -9,16 +9,27 @@ only; it is anchored to the lattice brute force.
 
 The column index k in the homogeneous determinants runs 1..N; the range is
 fixed by the N = 1 and N = 2 anchors.
+
+Both determinant forms expand rows cleared by `ring.clear_denominators`
+(residues keep d = 1) with `ring.laplace` and divide once: first by the
+monomial product of the rows' scales, then by the Vandermonde, which then
+divides the numerator exactly, so the result comes out reduced.  The
+permutation sum `z_sum` stays in the point's own scalars: it is the
+independent route the determinants are checked against, where a wrong
+row scale shows.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
+from math import prod
+from operator import mul
 
-from .ring import (RatFunc, RingError, VarTable, determinant,
-                   distinct_rationals, random_rational)
+from .ring import (RatFunc, RingError, VarTable, clear_denominators,
+                   cleared_quotient, distinct_rationals, is_zero, laplace,
+                   random_rational)
 
 __all__ = ["z_sum", "z_det_inhom", "z_det_hom", "check_ik_properties",
            "IkReport"]
@@ -73,6 +84,12 @@ def z_det_inhom(us, p, ws, dual=False):
     dual=False:  prefactor (1-t)c u_j and kernel 1/((a u_j + b w_k)(e u_j + f w_k));
     dual=True:   prefactor (1-t)d w_j, kernel 1/((a t u_j + b w_k)(e u_j + t f w_k))
     and (t^2 cd)^{N(N-1)/2} in place of (cd)^{N(N-1)/2}.
+
+    The prefactor's prod_{j,k} cell(u_j, w_k) cancels the kernel row by
+    row: row j times prod_k cell(u_j, w_k) has entry k the product of the
+    row's other N - 1 cells, so no cell is inverted, and with the row's
+    cells cleared to their d the row is over d^(N-1).  A vanishing cell is
+    a pole of the kernel and raises ZeroDivisionError.
     """
     n = len(us)
     one = p.one()
@@ -97,43 +114,61 @@ def z_det_inhom(us, p, ws, dual=False):
         for u in us:
             pref = pref * (1 - t) * c * u
         unit = c * d
-    for u in us:
-        for w in ws:
-            pref = pref * cell(u, w)
-    denom = unit ** (n * (n - 1) // 2)
+    denom = unit ** (n * (n - 1) // 2) * one
     for j in range(n):
         for k in range(j + 1, n):
             denom = denom * (us[j] - us[k]) * (ws[k] - ws[j])
-    det = determinant([[one / cell(u, w) for w in ws] for u in us])
-    return pref * det / denom
+    rows, scale = [], 1
+    for u in us:
+        cells, row_d = clear_denominators([cell(u, w) for w in ws])
+        if any(map(is_zero, cells)):
+            raise ZeroDivisionError("the kernel 1/cell(u_j, w_k) has a pole")
+        # at N = 1 the entry is the empty product, in the cells' type
+        rows.append([prod(cells[:k] + cells[k + 1:], start=cells[k] ** 0)
+                     for k in range(n)])
+        scale = scale * row_d ** (n - 1)
+    det = laplace(rows)
+    return pref * ((cleared_quotient(det, scale) if rows else det) / denom)
 
 
 def z_det_hom(n, us, p, dual=False):
-    """Homogeneous limit of the determinant form (w_k = 1 in closed form)."""
+    """Homogeneous limit of the determinant form (w_k = 1 in closed form).
+
+    Entry (j, k) is x^N y^k z^(N-k) - z^N w^k x^(N-k) in the forms [x, z,
+    y, w] = [a u + b, e u + f, -f, -b] of u = u_j (dual: [e u + t f,
+    a t u + b, -b, -t f]).  Every entry has degree exactly 2N in the forms,
+    so with the row's forms cleared to their d the row is over d^(2N).
+    """
     if len(us) != n:
         raise RingError("need exactly n spectral parameters")
     _require_distinct(us, "spectral parameters")
     t, a, b, c, d, e, f = p.t, p.a, p.b, p.c, p.d, p.e, p.f
     one = p.one()
     if dual:
-        def entry(u, k):
-            return (e * u + t * f) ** n * (-b) ** k * (a * t * u + b) ** (n - k) \
-                - (a * t * u + b) ** n * (-t * f) ** k * (e * u + t * f) ** (n - k)
+        def forms(u):
+            return [e * u + t * f, a * t * u + b, -b, -t * f]
 
         denom = t ** (n * n) * c ** (n * (n + 1) // 2) * d ** (n * (n - 1) // 2)
         for u in us:
             denom = denom * u
     else:
-        def entry(u, k):
-            return (a * u + b) ** n * (-f) ** k * (e * u + f) ** (n - k) \
-                - (e * u + f) ** n * (-b) ** k * (a * u + b) ** (n - k)
+        def forms(u):
+            return [a * u + b, e * u + f, -f, -b]
 
         denom = c ** (n * (n - 1) // 2) * d ** (n * (n + 1) // 2) * one
     for j in range(n):
         for k in range(j + 1, n):
             denom = denom * (us[j] - us[k])
-    det = determinant([[entry(u, k) for k in range(1, n + 1)] for u in us])
-    return det / denom
+    rows, scale = [], 1
+    for u in us:
+        cleared, row_d = clear_denominators(forms(u))
+        x, z, y, w = (list(accumulate([v] * n, mul, initial=v ** 0))
+                      for v in cleared)
+        rows.append([x[n] * y[k] * z[n - k] - z[n] * w[k] * x[n - k]
+                     for k in range(1, n + 1)])
+        scale = scale * row_d ** (2 * n)
+    det = laplace(rows)
+    return (cleared_quotient(det, scale) if rows else det) / denom
 
 
 @dataclass

@@ -71,6 +71,7 @@ __all__ = [
     "exact_divide",
     "try_exact_divide",
     "determinant",
+    "laplace",
     "clear_denominators",
     "cleared_quotient",
     "random_rational",
@@ -995,57 +996,53 @@ def cleared_quotient(x, d):
 def determinant(matrix):
     """Determinant of a square matrix of scalars, division-free.
 
-    Laplace expansion with dynamic programming over column subsets (minors
-    of row prefixes), after `clear_denominators` has put each row over a
-    common denominator d_i: RatFunc rows become polynomials, which avoids
-    the exact polynomial divisions of fraction-free elimination that
-    dominate the cost on large multivariate entries, and rational rows
-    become ints, so the expansion runs on ints.  The determinant is
-    multilinear in the rows, so it is the cleared determinant divided once
-    by the product of the d_i.  Residue rows expand as they are.  The 0x0
-    determinant is the int 1 (empty product), which coerces into every
-    scalar mode.  Mixing scalar modes is an error.
+    `clear_denominators` puts each row over a common denominator d_i:
+    RatFunc rows become polynomials, which avoids the exact polynomial
+    divisions of fraction-free elimination that dominate the cost on large
+    multivariate entries, and rational rows become ints.  The determinant
+    is multilinear in the rows, so it is the `laplace` expansion of the
+    cleared rows divided once by the product of the d_i.  Residue rows
+    expand as they are, and so does the 0x0 matrix, whose determinant is
+    the int 1 (empty product), which coerces into every scalar mode.
+    Mixing scalar modes is an error.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise RingError("determinant requires a square matrix")
-    if n == 0:
-        return 1
     flat = [x for row in matrix for x in row]
-    if all(isinstance(x, RatFunc) for x in flat):
-        vt = matrix[0][0].vars
-        rows = []
-        total_den = vt.one()
-        for row in matrix:
-            cleared, d = clear_denominators(row)
-            rows.append(cleared)
-            total_den = total_den * d
-        return RatFunc(_laplace(rows, vt.zero()), total_den)
     if all(x.__class__ is Residue for x in flat):
-        return _laplace(matrix, Residue(0))
-    if all(_is_rational(x) for x in flat):
+        return laplace(matrix)
+    if (all(isinstance(x, RatFunc) for x in flat)
+            or all(_is_rational(x) for x in flat)):
         rows, dens = zip(*map(clear_denominators, matrix))
-        return QQ(_laplace(rows, 0), prod(dens))
+        return cleared_quotient(laplace(rows), prod(dens))
     raise RingError("determinant entries mix scalar modes")
 
 
-def _laplace(rows, zero):
-    """Determinant of `rows`; `zero` stands for a minor with no terms."""
+def laplace(rows):
+    """Determinant of square `rows` of ints, polynomials or residues.
+
+    Laplace expansion with dynamic programming over column subsets: the
+    minors of the first r rows, keyed by their columns, start from the
+    empty minor 1, so the 0x0 determinant is the int 1.  No entry is
+    divided.  A minor whose row entries all vanish is zero, and one of those
+    entries stands for it.
+    """
     n = len(rows)
-    minors = {(j,): rows[0][j] for j in range(n)}
-    for r in range(1, n):
+    minors = {(): 1}
+    for r, row in enumerate(rows):
         next_minors = {}
         for cols in combinations(range(n), r + 1):
             acc = None
             for idx, j in enumerate(cols):
-                entry = rows[r][j]
+                entry = row[j]
                 if is_zero(entry):
                     continue
                 term = minors[cols[:idx] + cols[idx + 1:]] * entry
                 if (r + idx) % 2:
                     term = -term
                 acc = term if acc is None else acc + term
-            next_minors[cols] = zero if acc is None else acc
+            next_minors[cols] = row[cols[0]] if acc is None else acc
         minors = next_minors
     return minors[tuple(range(n))]
 

@@ -1,12 +1,18 @@
 """Packed-boundary partition functions: sum, determinants, properties."""
 
+import random
+
 import pytest
 
+from vertexpoly import dwbp
 from vertexpoly.dwbp import (check_ik_properties, z_det_hom, z_det_inhom,
                              z_sum)
-from vertexpoly.lattice import StateVector, apply_row_operator
+from vertexpoly.lattice import (ParticleConfig, StateVector,
+                                apply_row_operator, wavefunction)
 from vertexpoly.params import ParamSet
-from vertexpoly.ring import QQ, RatFunc, RingError, canonical_vartable
+from vertexpoly.ring import (QQ, RatFunc, Residue, RingError,
+                             canonical_vartable, determinant,
+                             distinct_rationals)
 
 
 def lattice_z(n, us, p, dual=False):
@@ -134,3 +140,182 @@ def test_recursion_fails_against_perturbed_sum():
 
     report = check_ik_properties(2, p, seed=3, z_fn=sum_with_bad_e)
     assert not report.all_pass()
+
+
+# -- the cleared determinants against the formulas they clear ------------
+
+
+def _kernel_det_inhom(us, p, ws, dual=False):
+    """The inhomogeneous form as printed: RatFunc kernel 1/cell, inverted
+    entry by entry and expanded by `ring.determinant`."""
+    n = len(us)
+    one = p.one()
+    t, a, b, c, d, e, f = p.t, p.a, p.b, p.c, p.d, p.e, p.f
+    if dual:
+        def cell(u, w):
+            return (a * t * u + b * w) * (e * u + t * f * w)
+
+        pref = one
+        for w in ws:
+            pref = pref * (1 - t) * d * w
+        unit = t * t * c * d
+    else:
+        def cell(u, w):
+            return (a * u + b * w) * (e * u + f * w)
+
+        pref = one
+        for u in us:
+            pref = pref * (1 - t) * c * u
+        unit = c * d
+    for u in us:
+        for w in ws:
+            pref = pref * cell(u, w)
+    denom = unit ** (n * (n - 1) // 2)
+    for j in range(n):
+        for k in range(j + 1, n):
+            denom = denom * (us[j] - us[k]) * (ws[k] - ws[j])
+    det = determinant([[one / cell(u, w) for w in ws] for u in us])
+    return pref * det / denom
+
+
+def _entry_det_hom(n, us, p, dual=False):
+    """The homogeneous form as printed: entries built from powers of the
+    four forms in p's scalars and expanded by `ring.determinant`."""
+    t, a, b, c, d, e, f = p.t, p.a, p.b, p.c, p.d, p.e, p.f
+    one = p.one()
+    if dual:
+        def entry(u, k):
+            return (e * u + t * f) ** n * (-b) ** k * (a * t * u + b) ** (n - k) \
+                - (a * t * u + b) ** n * (-t * f) ** k * (e * u + t * f) ** (n - k)
+
+        denom = t ** (n * n) * c ** (n * (n + 1) // 2) * d ** (n * (n - 1) // 2)
+        for u in us:
+            denom = denom * u
+    else:
+        def entry(u, k):
+            return (a * u + b) ** n * (-f) ** k * (e * u + f) ** (n - k) \
+                - (e * u + f) ** n * (-b) ** k * (a * u + b) ** (n - k)
+
+        denom = c ** (n * (n - 1) // 2) * d ** (n * (n + 1) // 2) * one
+    for j in range(n):
+        for k in range(j + 1, n):
+            denom = denom * (us[j] - us[k])
+    return determinant([[entry(u, k) for k in range(1, n + 1)]
+                        for u in us]) / denom
+
+
+def _det_points(n):
+    """(label, p, us, ws) at N = n: symbolic, rational, residue and lifted."""
+    sym = ParamSet.symbolic_canonical(n_u=n, n_w=n)
+    out = [("symbolic", sym, sym.spectral(n), sym.w or [])]
+    for seed in (2, 5):
+        num = ParamSet.sample(seed + 40, n_w=n)
+        us = distinct_rationals(random.Random(seed), n)
+        ws = num.w or []
+        res = num.map(Residue.of)
+        lifted = ParamSet.symbolic_canonical(n_u=n, n_w=n, numeric=num)
+        out += [(f"rational-{seed}", num, us, ws),
+                (f"residue-{seed}", res, [Residue.of(u) for u in us],
+                 res.w or []),
+                (f"lifted-{seed}", lifted, lifted.spectral(n),
+                 lifted.w or [])]
+    return out
+
+
+def _same(got, want):
+    assert type(got) is type(want)
+    assert str(got) == str(want)
+    assert got == want
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_cleared_hom_equals_the_entry_formula(n):
+    for label, p, us, _ in _det_points(n):
+        if n == 4 and label.startswith("lifted"):
+            continue
+        for dual in (False, True):
+            _same(z_det_hom(n, us, p, dual=dual),
+                  _entry_det_hom(n, us, p, dual=dual))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_cleared_inhom_equals_the_kernel_formula(n):
+    for _, p, us, ws in _det_points(n):
+        for dual in (False, True):
+            _same(z_det_inhom(us, p, ws=ws, dual=dual),
+                  _kernel_det_inhom(us, p, ws=ws, dual=dual))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_vanishing_kernel_cell_raises_as_the_kernel_formula_does(n):
+    # w_1 = -a u_1 / b zeroes cell(u_1, w_1); the dual cell at w_1 vanishes
+    # too, through e u_1 + t f w_1 = 0 on the constraint surface
+    num = ParamSet.sample(4)
+    us = [QQ(j, 3) for j in range(1, n + 1)]
+    ws = [-num.a * us[0] / num.b] + [QQ(j, 11) for j in range(2, n + 1)]
+    res = num.map(Residue.of)
+    lifted = ParamSet.symbolic_canonical(n_u=n, numeric=num)
+    lift = lambda v: RatFunc(lifted.vars.const(v))
+    for p, pus, pws in ((num, us, ws),
+                        (res, [Residue.of(u) for u in us],
+                         [Residue.of(w) for w in ws]),
+                        (lifted, [lift(u) for u in us],
+                         [lift(w) for w in ws])):
+        for dual in (False, True):
+            with pytest.raises(ZeroDivisionError):
+                _kernel_det_inhom(pus, p, ws=pws, dual=dual)
+            with pytest.raises(ZeroDivisionError):
+                z_det_inhom(pus, p, ws=pws, dual=dual)
+
+
+def test_dual_forms_at_t_zero_raise_as_the_formulas_do():
+    # the t = 0 set makes the dual hom prefactor t^(N^2) and every dual
+    # kernel cell vanish
+    vt = canonical_vartable(n_u=2, n_w=2, free_params=("beta",))
+    beta = RatFunc(vt.var("beta"))
+    zero, one = RatFunc(vt.zero()), RatFunc(vt.one())
+    p = ParamSet.unchecked(zero, one, zero, one, one, -(beta ** -1), -one)
+    us = [RatFunc(vt.var("u1")), RatFunc(vt.var("u2"))]
+    ws = [RatFunc(vt.var("w1")), RatFunc(vt.var("w2"))]
+    for n in (1, 2):
+        for call in (lambda: z_det_hom(n, us[:n], p, dual=True),
+                     lambda: _entry_det_hom(n, us[:n], p, dual=True),
+                     lambda: z_det_inhom(us[:n], p, ws=ws[:n], dual=True),
+                     lambda: _kernel_det_inhom(us[:n], p, ws=ws[:n],
+                                               dual=True)):
+            with pytest.raises(ZeroDivisionError):
+                call()
+        _same(z_det_inhom(us[:n], p, ws=ws[:n]),
+              _kernel_det_inhom(us[:n], p, ws=ws[:n]))
+        _same(z_det_hom(n, us[:n], p), _entry_det_hom(n, us[:n], p))
+
+
+def test_laplace_over_q_sees_ints_only(monkeypatch):
+    # both forms expand cleared rows: over Q no entry of the Laplace
+    # expansion is a Fraction, and only its result is divided, once
+    seen = []
+
+    def recording(rows):
+        seen.extend(type(v) for row in rows for v in row)
+        return laplace(rows)
+
+    laplace = dwbp.laplace
+    monkeypatch.setattr(dwbp, "laplace", recording)
+    num = ParamSet.sample(12, n_w=4)
+    us = distinct_rationals(random.Random(12), 4)
+    for dual in (False, True):
+        assert type(z_det_hom(4, us, num, dual=dual)) is QQ
+        assert type(z_det_inhom(us, num, ws=num.w, dual=dual)) is QQ
+    assert len(seen) == 4 * 16 and set(seen) == {int}
+
+
+def test_symbolic_inhom_at_three_sites_matches_the_lattice_at_a_point():
+    p = ParamSet.symbolic_canonical(n_u=3, n_w=3)
+    num = ParamSet.sample(21, n_w=3)
+    us = distinct_rationals(random.Random(21), 3)
+    point = {name: getattr(num, name) for name in "tabcd"}
+    point.update({f"u{j}": u for j, u in enumerate(us, 1)})
+    point.update({f"w{j}": w for j, w in enumerate(num.w, 1)})
+    packed = ParticleConfig(3, (1, 2, 3))
+    assert z_det_inhom(p.spectral(3), p, ws=p.w).evaluate(point) == \
+        wavefunction("psi", packed, us, num)

@@ -165,6 +165,15 @@ MUTANTS = [
     Mutant("z_det_inhom-vandermonde-reversed", "dwbp", "eval",
            _edit(dwbp, "z_det_inhom", "(ws[k] - ws[j])", "(ws[j] - ws[k])"),
            "dwbp"),
+    # the cleared determinants' row scales: residues clear with d = 1, so
+    # only exact mode can see a wrong power of a row's d
+    Mutant("z_det_hom-row-scale-2n-minus-1", "pairing", "exact",
+           _edit(dwbp, "z_det_hom", "row_d ** (2 * n)",
+                 "row_d ** (2 * n - 1)"),
+           "pairing dwbp"),
+    Mutant("z_det_inhom-row-scale-n", "dwbp", "exact",
+           _edit(dwbp, "z_det_inhom", "row_d ** (n - 1)", "row_d ** n"),
+           "dwbp"),
     Mutant("z_sum-column-band-on-w_j", "dwbp", "eval",
            _edit(dwbp, "z_sum", "f * ws[k])", "f * ws[j])"),
            "ik-properties dwbp"),
@@ -200,11 +209,13 @@ MUTANTS = [
                  "scale ** (config.m - 1)"),
            "mp-algebra"),
     # -- ring code only symbolic arithmetic runs
-    Mutant("determinant-keeps-last-row-denominator", "dwbp", "exact",
-           _edit(ring, "determinant",
-                 "total_den = total_den * d\n        return RatFunc",
-                 "total_den = d\n        return RatFunc"),
-           "pairing degeneration dwbp"),
+    # the domain-wall determinants expand their own cleared rows with
+    # `laplace`, so of the checks only the Grothendieck bialternant
+    # (degeneration) still divides through `determinant`
+    Mutant("determinant-keeps-last-row-denominator", "degeneration", "exact",
+           _edit(ring, "determinant", "laplace(rows), prod(dens))",
+                 "laplace(rows), dens[-1])"),
+           "degeneration"),
     Mutant("RatFunc-add-scales-wrong-numerator", "rll", "exact",
            _edit(ring, "RatFunc.__add__",
                  "return RatFunc(self.num + other.num * q, self.den)",

@@ -9,8 +9,9 @@ import pytest
 from vertexpoly.ring import (PRIME, QQ, MultiPoly, NonExactDivision,
                              RatFunc, Residue, RingError, VarTable,
                              canonical_vartable, determinant,
-                             distinct_rationals, exact_divide, poly_from_json,
-                             poly_to_json, random_rational, ratfunc_from_json,
+                             distinct_rationals, exact_divide, is_zero,
+                             laplace, poly_from_json, poly_to_json,
+                             random_rational, ratfunc_from_json,
                              ratfunc_to_json, try_exact_divide)
 
 
@@ -162,6 +163,22 @@ def test_determinant_vanishes_on_repeated_rows():
 
 def test_determinant_of_empty_matrix_is_one():
     assert determinant([]) == QQ(1)
+
+
+def test_laplace_starts_from_the_empty_minor():
+    # the 0x0 determinant is the int 1, which `determinant` returns as is
+    assert type(laplace([])) is int and laplace([]) == 1
+    assert type(determinant([])) is int
+
+
+def test_laplace_keeps_the_scalar_type_of_a_vanishing_minor():
+    # a zero row leaves every minor through it without terms; the zero
+    # that stands for them is one of the row's own entries
+    vt = VarTable(["x"])
+    for zero, one in ((0, 1), (Residue(0), Residue(1)),
+                      (vt.zero(), vt.var("x"))):
+        det = laplace([[one, one], [zero, zero]])
+        assert type(det) is type(zero) and is_zero(det)
 
 
 def test_determinant_rejects_mixed_modes():
