@@ -148,7 +148,8 @@ def z_det_hom(n, us, p, dual=False):
         def forms(u):
             return [e * u + t * f, a * t * u + b, -b, -t * f]
 
-        denom = t ** (n * n) * c ** (n * (n + 1) // 2) * d ** (n * (n - 1) // 2)
+        denom = (one * t ** (n * n) * c ** (n * (n + 1) // 2)
+                 * d ** (n * (n - 1) // 2))
         for u in us:
             denom = denom * u
     else:

@@ -23,12 +23,11 @@ input bits.
 `wavefunctions` reads every amplitude of one kind from one sweep: psi and
 phi_dual from the states B(u_N)...B(u_1)|vacuum> and C(u_N)...C(u_1)|packed>,
 phi and psi_dual from the covectors <packed|B(u_1)...B(u_N) and
-<vacuum|C(u_1)...C(u_N).  `wavefunction` computes one amplitude the other
-way round, from the configuration's end: it sweeps from |config> for phi
-and psi_dual and from <config| for psi and phi_dual, and reads the vacuum
-or packed amplitude at the far end.  A sweep from one configuration never
-holds more states than the ice rule lets reach it, while a sweep from the
-vacuum or packed end builds every configuration of the kind.
+<vacuum|C(u_1)...C(u_N).  `wavefunction` contracts the same N x M lattice
+column by column (the column-to-column transfer matrix, Baxter, Exactly
+Solved Models in Statistical Mechanics, 1982, ch. 8), so its state is the
+N auxiliary bits between two columns: at most C(N, k) <= 2^N entries,
+where a row sweep carries up to C(M, k).
 
 All functions are pure and scalar-mode generic: they work identically on
 big-rational scalars (fast numeric evaluation) and RatFunc scalars (exact
@@ -40,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import prod
+from operator import itemgetter
 
 from .mprod import mat_eq, mat_mul
 from .ring import (RingError, clear_denominators, cleared_quotient,
@@ -196,14 +196,20 @@ def r_weight(alpha, beta, gamma, delta, u, p):
 _BOUNDARY = {"A": (0, 0), "B": (1, 0), "C": (0, 1), "D": (1, 1)}
 
 
-def _site_weights(u, w, p, transpose):
+# a move (alpha, beta, gamma, delta) as (carried in, known, free, carried
+# out): a row sweep carries the auxiliary line past a state's or, transposed,
+# a covector's bit; a column sweep carries the quantum line past alpha
+_ROW = itemgetter(0, 1, 3, 2)
+_TRANSPOSED = itemgetter(0, 3, 1, 2)
+_COLUMN = itemgetter(1, 0, 2, 3)
+
+
+def _site_weights(u, w, p, orient):
     """The nonzero local weights of one site, cleared and grouped.
 
     Returns (steps, d): the weights over their common denominator d (see
-    `clear_denominators`), with steps mapping (aux, known) to
-    ((free, gamma, weight), ...) in increasing free bit, where the known bit
-    is beta and the free bit delta, or the other way round under
-    `transpose`.
+    `clear_denominators`), with steps mapping (carried, known) to
+    ((free, carried out, weight), ...) in the orientation `orient`.
     """
     moves, weights = [], []
     for aux, beta, delta in product((0, 1), repeat=3):
@@ -213,32 +219,38 @@ def _site_weights(u, w, p, transpose):
         wgt = l_weight(aux, beta, gamma, delta, u, w, p)
         if is_zero(wgt):
             continue
-        moves.append((aux, delta, beta, gamma) if transpose
-                     else (aux, beta, delta, gamma))
+        moves.append(orient((aux, beta, gamma, delta)))
         weights.append(wgt)
-    steps = {(aux, known): [] for aux in (0, 1) for known in (0, 1)}
+    steps = {(carried, known): [] for carried in (0, 1) for known in (0, 1)}
     cleared, d = clear_denominators(weights)
-    for (aux, known, free, gamma), wgt in zip(moves, cleared):
-        steps[aux, known].append((free, gamma, wgt))
+    for (carried, known, free, out), wgt in zip(moves, cleared):
+        steps[carried, known].append((free, out, wgt))
     return steps, d
 
 
-def _row_weights(u, m, p, transpose):
+def _row_weights(u, m, p, orient):
     """The cleared site tables of one row operator, and its factor D."""
     if p.w is None:
-        steps, d = _site_weights(u, p.one(), p, transpose)
+        steps, d = _site_weights(u, p.one(), p, orient)
         return [steps] * m, d ** m
     if len(p.w) != m:
         raise RingError("inhomogeneity list length does not match lattice")
-    tables = [_site_weights(u, w, p, transpose) for w in p.w]
+    tables = [_site_weights(u, w, p, orient) for w in p.w]
     return [steps for steps, _ in tables], prod(d for _, d in tables)
 
 
 def _row_sweep(s, sites, aux_in, aux_out):
-    """One row operator on s, from the site tables and boundary pair."""
+    """One row operator on s, from the site tables and boundary pair.
+
+    The last site drops the dead paths, which leave it off aux_out; with
+    no sites at all, the filter at the end drops them.
+    """
+    if sites:
+        sites = [*sites[:-1], {key: [st for st in steps if st[1] == aux_out]
+                               for key, steps in sites[-1].items()}]
     out = {}
     for bits, amp in s.amps.items():
-        # frontier: (aux, partial free bits) -> amplitude
+        # frontier: (carried, partial free bits) -> amplitude
         frontier = {(aux_in, 0): amp}
         for j, steps in enumerate(sites):
             known = (bits >> j) & 1
@@ -270,7 +282,8 @@ def _sweep(op, s, us, p, transpose):
     amps, d = clear_denominators(list(s.amps.values()))
     s = StateVector(s.m, dict(zip(s.amps, amps)))
     for u in us:
-        sites, factor = _row_weights(u, s.m, p, transpose)
+        sites, factor = _row_weights(u, s.m, p,
+                                     _TRANSPOSED if transpose else _ROW)
         s = _row_sweep(s, sites, aux_in, aux_out)
         d = d * factor
     return s, d
@@ -294,10 +307,10 @@ def apply_row_operator(kind, u, s, p, transpose=False):
 # wavefunction kind -> (row operator, starts packed, covector, config class,
 # the closed-form family it equals): `wavefunctions` applies the operators to
 # the start state for the forward kinds and to the start covector for the
-# covector kinds; `wavefunction` starts at the configuration, from the
-# opposite side.  The package's one statement of which configuration class
-# each wavefunction and family kind takes; the checks visit the kinds in
-# this order, which fixes the first witness they report.
+# covector kinds; the configuration is the bra of a forward kind and the
+# ket of a covector kind.  The package's one statement of which
+# configuration class each wavefunction and family kind takes; the checks
+# visit the kinds in this order, which fixes the first witness they report.
 _WAVE_KINDS = {
     "psi": ("B", False, False, ParticleConfig, "G"),
     "psi_dual": ("C", False, True, ParticleConfig, "Gbar"),
@@ -329,20 +342,29 @@ def wavefunction(kind, config, us, p):
 
     psi and psi_dual take a ParticleConfig, phi and phi_dual a HoleConfig.
     Computed purely by operator application; no closed formula is used.
-    The sweep always starts at the configuration (a covector sweep from
-    <config| for psi and phi_dual) and reads the one amplitude it needs at
-    the vacuum or packed end.
+    Column j is one sweep over the rows, in the order their operators
+    apply to the ket, that carries site j's quantum line from the ket's bit
+    to the bra's over the N auxiliary bits, which enter column 1 at the
+    operator's incoming value and are read at its outgoing value.
     """
     op, packed, covector, flavour, _ = _wave_kind(kind)
     if not isinstance(config, flavour):
         raise RingError(f"kind {kind} requires a {flavour.__name__}")
     if len(config) != len(us):
         raise RingError("config size must match the number of spectral parameters")
-    m = config.m
+    m, full = config.m, (1 << len(us)) - 1
+    aux_in, aux_out = _BOUNDARY[op]
     start = (1 << m) - 1 if packed else 0
-    s, d = _sweep(op, StateVector.basis(m, config.bits(), p.one()),
-                  reversed(us), p, transpose=not covector)
-    return _read(s, start, d, p)
+    ket, bra = (config.bits(), start) if covector else (start, config.bits())
+    rows = [_row_weights(u, m, p, _COLUMN)
+            for u in (reversed(us) if covector else us)]
+    (one,), d = clear_denominators([p.one()])
+    d = prod((factor for _, factor in rows), start=d)
+    s = StateVector(len(us), {full * aux_in: one})
+    for j in range(m):
+        s = _row_sweep(s, [sites[j] for sites, _ in rows], (ket >> j) & 1,
+                       (bra >> j) & 1)
+    return _read(s, full * aux_out, d, p)
 
 
 def wavefunctions(kind, m, us, p):

@@ -290,6 +290,15 @@ def test_dual_forms_at_t_zero_raise_as_the_formulas_do():
         _same(z_det_hom(n, us[:n], p), _entry_det_hom(n, us[:n], p))
 
 
+def test_empty_hom_determinant_at_the_int_built_t_zero_set_is_rational():
+    # the int-built t = 0 set has int prefactor parameters, yet N = 0 gives
+    # the rational 1 in both forms, never a float
+    p = ParamSet.unchecked(0, 1, 0, 1, 1, QQ(-3, 7), -1)
+    for dual in (False, True):
+        got = z_det_hom(0, [], p, dual=dual)
+        assert got == 1 and type(got) is QQ and str(got) == "1", dual
+
+
 def test_laplace_over_q_sees_ints_only(monkeypatch):
     # both forms expand cleared rows: over Q no entry of the Laplace
     # expansion is a Fraction, and only its result is divided, once

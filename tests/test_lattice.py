@@ -296,8 +296,9 @@ def test_cleared_sweep_matches_the_step_by_step_route(case, kind):
 
 @pytest.mark.parametrize("kind", WAVE_KINDS)
 def test_single_amplitude_never_builds_the_full_state(monkeypatch, kind):
-    # each kind runs from the configuration's end, so no intermediate
-    # state holds all C(8, 3) = 56 configurations of the far end
+    # one column sweep per site, each on the N = 3 auxiliary bits: the ice
+    # rule fixes how many of them are set, so no state holds more than
+    # C(3, k) <= 3 entries
     sizes = []
     row_sweep = lattice._row_sweep
 
@@ -314,8 +315,63 @@ def test_single_amplitude_never_builds_the_full_state(monkeypatch, kind):
     monkeypatch.setattr(lattice, "_row_sweep", recording)
     for config in configs:
         wavefunction(kind, config, us, p)
-    assert len(sizes) == 3 * len(configs)
-    assert max(sizes) < 56
+    assert len(sizes) == 8 * len(configs)
+    assert max(sizes) <= 3
+
+
+def _far_cases():
+    q = ParamSet.sample(23)
+    res = ParamSet.sample(29).map(Residue.of)
+    return [(f"{name}-{m}-{n}", m, us, p)
+            for m, n in ((10, 4), (9, 2))
+            for name, p, us in (
+                ("rational", q, spectral(q, n)),
+                ("residue", res, [Residue.of(u) for u in spectral(q, n)]))]
+
+
+FAR_CASES = _far_cases()
+
+
+@pytest.mark.parametrize("kind", WAVE_KINDS)
+@pytest.mark.parametrize("case", FAR_CASES, ids=[c[0] for c in FAR_CASES])
+def test_column_contraction_matches_the_row_sweep_when_m_exceeds_n(case,
+                                                                   kind):
+    # far more columns than rows: each single amplitude equals the row
+    # route's value for it, in value, type and rendering
+    _, m, us, p = case
+    amps = wavefunctions(kind, m, us, p)
+    cls = ParticleConfig if kind in ("psi", "psi_dual") else HoleConfig
+    xs = list(combinations(range(1, m + 1), len(us)))
+    for x in xs[::max(1, len(xs) // 12)] + [xs[-1]]:
+        want = amps[cls(m, x).bits()]
+        got = wavefunction(kind, cls(m, x), us, p)
+        assert got == want and type(got) is type(want), (kind, x)
+        assert str(got) == str(want), (kind, x)
+
+
+@pytest.mark.parametrize("kind", WAVE_KINDS)
+def test_empty_configuration_amplitude_is_one_of_the_scalar_mode(kind):
+    # no rows (N = 0) or no columns (M = 0): the amplitude is the empty
+    # product, in the parameters' own scalar mode
+    cls = ParticleConfig if kind in ("psi", "psi_dual") else HoleConfig
+    for p in (ParamSet.sample(3), ParamSet.sample(3).map(Residue.of),
+              ParamSet.symbolic_canonical(), ParamSet.sample(3, n_w=4),
+              _t0_set(QQ(7, 3))):
+        for m in (0, 4) if p.w is None else (4,):
+            got = wavefunction(kind, cls(m, ()), [], p)
+            assert got == p.one() and type(got) is type(p.one()), (kind, p)
+            assert str(got) == str(p.one())
+
+
+def test_zero_site_row_operators_act_as_their_empty_products(num):
+    # with no sites the auxiliary line passes straight through: A and D
+    # act as the identity, and B and C, which flip it, vanish
+    one = num.one()
+    for op, survives in (("A", True), ("B", False), ("C", False),
+                         ("D", True)):
+        s = apply_row_operator(op, QQ(2, 5), StateVector.vacuum(0, one), num)
+        assert s == (StateVector.vacuum(0, one) if survives
+                     else StateVector(0)), op
 
 
 def test_particle_kinds_reject_a_hole_config(num):
@@ -362,6 +418,26 @@ def test_row_operator_computes_each_local_weight_once(monkeypatch, n_w,
     out = apply_row_operator("B", QQ(2, 9), s, p)
     assert particle_counts(out) == {4}
     assert len(calls) <= budget
+
+
+@pytest.mark.parametrize("n_w", [0, 7])
+def test_single_amplitude_computes_each_local_weight_once(monkeypatch, n_w):
+    # one table per spectral parameter, or per (spectral parameter, w),
+    # shared by every column: six ice-rule moves each, never per column
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return l_weight(*args)
+
+    p = ParamSet.sample(31, n_w=n_w)
+    us = spectral(p, 3)
+    monkeypatch.setattr(lattice, "l_weight", counting)
+    for kind in WAVE_KINDS:
+        cls = ParticleConfig if kind in ("psi", "psi_dual") else HoleConfig
+        calls.clear()
+        wavefunction(kind, cls(7, (2, 3, 6)), us, p)
+        assert len(calls) == 6 * len(us) * (n_w or 1), kind
 
 
 def test_state_vectors_differ_in_support_size_or_type():

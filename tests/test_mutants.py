@@ -119,6 +119,14 @@ MUTANTS = [
            _edit(lattice, "_row_weights", "for _, d in tables)",
                  "for _, d in tables[1:])"),
            "dwbp"),
+    # the column contraction of one amplitude: the covector kinds run their
+    # quantum lines from the start state's bit to the configuration's, the
+    # wrong way up; pairing reads the single amplitudes
+    Mutant("wavefunction-covector-columns-upside-down", "pairing", "eval",
+           _edit(lattice, "wavefunction",
+                 "(config.bits(), start) if covector",
+                 "(start, config.bits()) if covector"),
+           "pairing"),
     # -- closed-form families and skew factors
     Mutant("G-site-forms-swapped", "correspondence", "eval",
            _entry(sympoly._FAMILY_ROWS, "G", 0, (0, 2)),
